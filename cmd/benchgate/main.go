@@ -179,7 +179,7 @@ func microBenchmarks() []Measurement {
 
 func benchController(mode memctrl.Mode) (*memctrl.Controller, *event.Queue) {
 	params := dram.DDR4_1600(dram.Refresh1x)
-	if mode == memctrl.ModeNoRefresh {
+	if !mode.Refreshes() {
 		params = dram.NoRefresh(params)
 	}
 	q := &event.Queue{}

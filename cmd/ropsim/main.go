@@ -47,7 +47,7 @@ func main() {
 	var (
 		bench      = flag.String("bench", "libquantum", "benchmark name, or comma-separated list for multi-core")
 		mix        = flag.String("mix", "", "workload mix name (WL1-WL6); overrides -bench")
-		mode       = flag.String("mode", "baseline", "refresh mode: baseline | norefresh | rop | elastic | pausing | bankrefresh | rop-bank | subarray | ooo-bank | darp | sarp")
+		mode       = flag.String("mode", "baseline", "refresh mode: "+modeNames(" | "))
 		standard   = flag.String("standard", "", "DRAM standard (see -list; default DDR4-1600)")
 		density    = flag.Int("density", 0, "projected die density in Gbit for tRFC scaling (0 = datasheet 8 Gb)")
 		insts      = flag.Int64("insts", 2_000_000, "instructions per core")
@@ -107,33 +107,12 @@ func main() {
 	}
 
 	cfg := ropsim.Default(benches...)
-	switch *mode {
-	case "baseline":
-		cfg.Mode = ropsim.ModeBaseline
-	case "norefresh":
-		cfg.Mode = ropsim.ModeNoRefresh
-	case "rop":
-		cfg.Mode = ropsim.ModeROP
-	case "elastic":
-		cfg.Mode = ropsim.ModeElastic
-	case "pausing":
-		cfg.Mode = ropsim.ModePausing
-	case "bankrefresh":
-		cfg.Mode = ropsim.ModeBankRefresh
-	case "rop-bank":
-		cfg.Mode = ropsim.ModeROPBank
-	case "subarray":
-		cfg.Mode = ropsim.ModeSubarrayRefresh
-	case "ooo-bank":
-		cfg.Mode = ropsim.ModeOutOfOrderBank
-	case "darp":
-		cfg.Mode = ropsim.ModeDARP
-	case "sarp":
-		cfg.Mode = ropsim.ModeSARP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	m, err := ropsim.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg.Mode = m
 	cfg.Instructions = *insts
 	cfg.SRAMLines = *sram
 	cfg.Seed = *seed
@@ -187,7 +166,7 @@ func main() {
 		res.ElapsedBus, float64(res.ElapsedBus)*1.25e-6)
 	fmt.Printf("refreshes=%d meanReadLatency=%.1f cycles llcMissRate=%.3f\n",
 		res.Refreshes, res.MeanReadLatency, res.LLCMissRate)
-	if cfg.Mode == ropsim.ModeROP || cfg.Mode == ropsim.ModeROPBank {
+	if cfg.Mode.Prefetches() {
 		fmt.Printf("sram: served=%d lookups=%d hits=%d hitRate=%.3f\n",
 			res.SRAMServed, res.SRAMLookups, res.SRAMHits, res.SRAMHitRate)
 	}
@@ -231,4 +210,13 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// modeNames joins every -mode name with sep.
+func modeNames(sep string) string {
+	var names []string
+	for _, m := range ropsim.Modes() {
+		names = append(names, m.String())
+	}
+	return strings.Join(names, sep)
 }

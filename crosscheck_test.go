@@ -37,4 +37,14 @@ func TestCrossCheckWake(t *testing.T) {
 			}
 		}
 	}
+	// A valid 32-rank channel: more ranks than a fixed-size per-rank
+	// snapshot would hold.
+	for _, mode := range Modes() {
+		cfg := o.single("libquantum", mode)
+		cfg.Ranks = 32
+		cfg.Instructions = 120_000
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%v/ranks=32: %v", mode, err)
+		}
+	}
 }

@@ -72,7 +72,7 @@ func main() {
 		}
 		fmt.Printf("%-12s weighted speedup %.3f (norm %.3f)  energy %.4g J (norm %.3f)\n",
 			s.name, ws, ws/wsBase, res.TotalEnergy(), res.TotalEnergy()/enBase)
-		if s.mode == ropsim.ModeROP {
+		if s.mode.Prefetches() {
 			fmt.Printf("%-12s SRAM: served=%d hitRate=%.2f\n", "", res.SRAMServed, res.SRAMHitRate)
 		}
 	}

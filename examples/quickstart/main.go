@@ -27,7 +27,7 @@ func main() {
 		ipc[mode] = res.Cores[0].IPC
 		fmt.Printf("%-10v IPC=%.4f refreshes=%d energy=%.4g J\n",
 			mode, res.Cores[0].IPC, res.Refreshes, res.TotalEnergy())
-		if mode == ropsim.ModeROP {
+		if mode.Prefetches() {
 			hitRate = res.SRAMHitRate
 			fmt.Printf("           SRAM buffer: %d reads served, hit rate %.2f\n",
 				res.SRAMServed, res.SRAMHitRate)

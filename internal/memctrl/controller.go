@@ -1,13 +1,14 @@
 // Package memctrl implements the simulated memory controller: read and
 // write transaction queues with FR-FCFS scheduling and batched write
-// drain, the per-rank refresh state machine (auto-refresh baseline,
-// idealized no-refresh, and the paper's ROP mode with pre-refresh drain
-// and prefetch), and the SRAM service path that answers reads while a
-// rank is frozen.
+// drain, the per-rank refresh state machine composed from granularity,
+// ordering and ROP prefetch parts (one preset per Mode, from JEDEC
+// auto-refresh to the paper's ROP with pre-refresh drain and prefetch),
+// and the SRAM service path that answers reads while a rank is frozen.
 package memctrl
 
 import (
 	"fmt"
+	"strings"
 
 	"ropsim/internal/addr"
 	"ropsim/internal/core"
@@ -71,33 +72,87 @@ const (
 	ModeSARP
 )
 
-// String implements fmt.Stringer.
+// preset composes one Mode from the three refresh parts (refresh.go).
+type preset struct {
+	name     string
+	gran     granularity
+	order    ordering // nil: refresh disabled
+	prefetch bool     // ROP prefetch on
+}
+
+// presets maps every Mode to its parts. It is the only place a Mode
+// value is interpreted; everything else asks the parts.
+var presets = [...]preset{
+	ModeBaseline:        {"baseline", granRank, inOrder{}, false},
+	ModeNoRefresh:       {"norefresh", granRank, nil, false},
+	ModeROP:             {"rop", granRank, inOrder{}, true},
+	ModeElastic:         {"elastic", granRank, elastic{}, false},
+	ModePausing:         {"pausing", granRank, pausing{}, false},
+	ModeBankRefresh:     {"bankrefresh", granSlot, inOrder{}, false},
+	ModeROPBank:         {"rop-bank", granSlot, inOrder{}, true},
+	ModeSubarrayRefresh: {"subarray", granBankSubarray, inOrder{}, false},
+	ModeOutOfOrderBank:  {"ooo-bank", granSlot, outOfOrder{}, false},
+	ModeDARP:            {"darp", granSlot, outOfOrder{drainAware: true}, false},
+	ModeSARP:            {"sarp", granSlotSubarray, inOrder{}, false},
+}
+
+// valid reports whether m names a preset.
+func (m Mode) valid() bool { return m >= 0 && int(m) < len(presets) }
+
+// String implements fmt.Stringer: the preset's -mode name.
 func (m Mode) String() string {
-	switch m {
-	case ModeBaseline:
-		return "baseline"
-	case ModeNoRefresh:
-		return "norefresh"
-	case ModeROP:
-		return "rop"
-	case ModeElastic:
-		return "elastic"
-	case ModePausing:
-		return "pausing"
-	case ModeBankRefresh:
-		return "bankrefresh"
-	case ModeROPBank:
-		return "rop-bank"
-	case ModeSubarrayRefresh:
-		return "subarray"
-	case ModeOutOfOrderBank:
-		return "ooo-bank"
-	case ModeDARP:
-		return "darp"
-	case ModeSARP:
-		return "sarp"
+	if !m.valid() {
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-	return fmt.Sprintf("Mode(%d)", int(m))
+	return presets[m].name
+}
+
+// Modes lists every refresh mode in declaration order.
+func Modes() []Mode {
+	ms := make([]Mode, len(presets))
+	for i := range ms {
+		ms[i] = Mode(i)
+	}
+	return ms
+}
+
+// ParseMode returns the Mode whose String is name.
+func ParseMode(name string) (Mode, error) {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		if p.name == name {
+			return Mode(i), nil
+		}
+		names[i] = p.name
+	}
+	return 0, fmt.Errorf("unknown mode %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// Refreshes reports whether the mode refreshes at all (false only for
+// the idealized no-refresh bound).
+func (m Mode) Refreshes() bool { return m.valid() && presets[m].order != nil }
+
+// Prefetches reports whether the mode runs the ROP prefetch engine.
+func (m Mode) Prefetches() bool { return m.valid() && presets[m].prefetch }
+
+// Parts names the mode's refresh granularity and ordering, as the
+// docs/POLICIES.md "At a glance" table lists them ("none" when the mode
+// does not refresh).
+func (m Mode) Parts() (granularity, ordering string) {
+	if !m.Refreshes() {
+		return "none", "none"
+	}
+	return presets[m].gran.String(), presets[m].order.String()
+}
+
+// SubarrayLock reports how long one subarray refresh (REFsa) command
+// locks its subarray under the mode: tRFCpb when the mode confines a
+// whole per-bank refresh to one subarray (SARP), tRFCsa otherwise.
+func (m Mode) SubarrayLock(p dram.Params) event.Cycle {
+	if m.valid() && presets[m].gran == granSlotSubarray {
+		return p.RFCpb
+	}
+	return p.RFCsa
 }
 
 // Config parameterizes the controller. Table III: 64-entry read and
@@ -165,7 +220,10 @@ func (c Config) Validate() error {
 	if c.SRAMLatency < 0 {
 		return fmt.Errorf("memctrl: negative SRAM latency")
 	}
-	if c.Mode == ModeROP || c.Mode == ModeROPBank {
+	if !c.Mode.valid() {
+		return fmt.Errorf("memctrl: unknown refresh mode %d", int(c.Mode))
+	}
+	if presets[c.Mode].prefetch {
 		return c.ROP.Validate()
 	}
 	return nil
@@ -198,8 +256,17 @@ type Controller struct {
 	readIdx, writeIdx, fillIdx bankIndex
 	reqSeq                     int64
 
+	// The refresh parts (refresh.go): the granularity's units (each
+	// unit's banks, and each bank's unit) and in-order cadence, the
+	// ordering, and the ROP prefetch part's engine and window.
+	gran    granularity
+	units   [][]int
+	unitOf  []int
+	cadence event.Cycle
+	order   ordering
 	refresh []rankRefresh
 	rop     *core.Engine
+	window  prefetchWindow
 
 	wakeAt      event.Cycle       // cycle of the currently armed tick (-1 when none)
 	wakeChained bool              // the armed tick is a chained wake (see armAfterTick)
@@ -283,7 +350,7 @@ func (c *Controller) RegisterMetrics(r *stats.Registry) {
 	r.Register("refresh_pull_ins", &c.RefreshPullIns)
 	r.Register("drain_piggybacks", &c.DrainPiggybacks)
 	r.Register("sarp_parallel_cmds", &c.SARPParallelServes)
-	if c.cfg.Mode == ModeSARP {
+	if c.gran == granSlotSubarray {
 		r.Gauge("sarp_die_area_overhead_pct", func() float64 { return sarpDieAreaPct })
 	}
 	if c.rop != nil {
@@ -305,29 +372,16 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	geo := dev.Geometry()
-	p0 := dev.Params()
-	if p0.REFI > 0 {
-		switch cfg.Mode {
-		case ModeBankRefresh, ModeROPBank, ModeOutOfOrderBank, ModeDARP:
-			if p0.RFCpb <= 0 {
-				return nil, fmt.Errorf("memctrl: bank-refresh mode requires RFCpb timing")
-			}
-		case ModeSubarrayRefresh:
-			if p0.RFCsa <= 0 || p0.Subarrays <= 0 {
-				return nil, fmt.Errorf("memctrl: subarray-refresh mode requires RFCsa/Subarrays timing")
-			}
-		case ModeSARP:
-			if p0.RFCpb <= 0 || p0.Subarrays <= 0 {
-				return nil, fmt.Errorf("memctrl: SARP requires RFCpb/Subarrays timing")
-			}
-		}
-	}
+	geo, p := dev.Geometry(), dev.Params()
+	pre := presets[cfg.Mode]
 	c := &Controller{
 		cfg:             cfg,
 		dev:             dev,
 		q:               q,
 		geo:             geo,
+		gran:            pre.gran,
+		units:           pre.gran.units(dev),
+		unitOf:          make([]int, geo.Banks),
 		wakeAt:          -1,
 		ReadLatencyHist: stats.NewHistogram(readLatencyBounds...),
 	}
@@ -335,59 +389,36 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 	c.readIdx.init(geo)
 	c.writeIdx.init(geo)
 	c.fillIdx.init(geo)
-	p := dev.Params()
-	if cfg.Mode != ModeNoRefresh && p.REFI > 0 {
-		c.refresh = make([]rankRefresh, geo.Ranks)
-		cadence := p.REFI
-		switch cfg.Mode {
-		case ModeBankRefresh, ModeROPBank, ModeOutOfOrderBank, ModeDARP, ModeSARP:
-			// One bank-granularity command per slot per tREFI: slots =
-			// banks, except under same-bank refresh (DDR5) where one
-			// command covers a whole bank set.
-			cadence = p.REFI / event.Cycle(dev.RefreshSlots())
-		case ModeSubarrayRefresh:
-			cadence = p.REFI / event.Cycle(geo.Banks*p.Subarrays)
-			if cadence < 1 {
-				cadence = 1
-			}
+	for u, banks := range c.units {
+		for _, b := range banks {
+			c.unitOf[b] = u
 		}
+	}
+	if pre.order != nil && p.REFI > 0 {
+		if err := c.gran.check(p); err != nil {
+			return nil, err
+		}
+		c.order = pre.order
+		c.cadence = c.gran.cadence(dev)
+		c.refresh = make([]rankRefresh, geo.Ranks)
 		for r := range c.refresh {
+			rr := &c.refresh[r]
 			// Stagger rank refreshes across the cadence interval so that
 			// at most one rank is frozen at a time (and the shared SRAM
 			// buffer is never contended).
-			c.refresh[r].due = cadence * event.Cycle(r+1) / event.Cycle(geo.Ranks)
-			switch {
-			case c.oooMode():
-				// Out-of-order scheduling tracks a due time per slot: the
-				// in-order schedule would visit slot s one cadence after
-				// slot s-1, each slot recurring every tREFI.
-				n := dev.RefreshSlots()
-				sd := make([]event.Cycle, n)
-				for s := 0; s < n; s++ {
-					sd[s] = c.refresh[r].due + cadence*event.Cycle(s)
-				}
-				c.refresh[r].slotDue = sd
-			case cfg.Mode == ModeSARP:
-				// A rotating subarray counter per slot: a shared counter
-				// would alias with the slot rotation (same slot count and
-				// subarray count ⇒ every bank refreshing one subarray
-				// forever), so each slot rotates independently.
-				c.refresh[r].slotSA = make([]int, dev.RefreshSlots())
+			c.order.schedule(c, rr, c.cadence*event.Cycle(r+1)/event.Cycle(geo.Ranks))
+			if c.gran.subarrays() {
+				rr.unitSA = make([]int, len(c.units))
 			}
 		}
-	}
-	if p.REFI > 0 {
-		var err error
-		switch cfg.Mode {
-		case ModeROP:
-			c.rop, err = core.NewEngine(cfg.ROP, geo, p.REFI, p.RFC)
-		case ModeROPBank:
-			// Bank-level refresh: the observational window and freeze
-			// length shrink to the per-slot schedule.
-			c.rop, err = core.NewEngine(cfg.ROP, geo, p.REFI/event.Cycle(dev.RefreshSlots()), p.RFCpb)
-		}
-		if err != nil {
-			return nil, err
+		if pre.prefetch {
+			// The engine's observational window and freeze length follow
+			// the granularity's cadence and lock.
+			var err error
+			if c.rop, err = core.NewEngine(cfg.ROP, geo, c.cadence, c.gran.lock(p)); err != nil {
+				return nil, err
+			}
+			c.window = newPrefetchWindow(cfg, c.gran, dev, len(c.units))
 		}
 	}
 	if cfg.Capture {
@@ -411,7 +442,7 @@ func MustNew(cfg Config, dev *dram.Device, q *event.Queue) *Controller {
 	return c
 }
 
-// ROP exposes the prefetch engine (nil unless ModeROP).
+// ROP exposes the prefetch engine (nil unless the mode prefetches).
 func (c *Controller) ROP() *core.Engine { return c.rop }
 
 // Device exposes the DRAM device (for energy accounting).
@@ -430,7 +461,7 @@ func (c *Controller) SetCommandObserver(fn func(dram.Command)) { c.cmdObs = fn }
 // command-issue site routes through here so the sanitizer sees the
 // complete stream.
 func (c *Controller) emit(cmd dram.Command) {
-	if c.cfg.Mode == ModeSARP {
+	if c.gran == granSlotSubarray {
 		switch cmd.Kind {
 		case dram.CmdACT, dram.CmdRD, dram.CmdWR:
 			if c.dev.AnySubarrayRefreshing(cmd.Rank, cmd.Bank, cmd.At) {
@@ -515,17 +546,11 @@ func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) 
 		// already holds the line ahead of the freeze — is served from
 		// the SRAM buffer (the paper's central mechanism).
 		frozen := c.dev.Refreshing(loc.Rank, now)
-		if c.bankMode() {
+		if c.gran.locksBanks() {
 			frozen = c.dev.BankRefreshing(loc.Rank, loc.Bank, now)
 		}
 		if c.rop.ProbeRead(loc, now, frozen) {
-			c.SRAMServed.Inc()
-			c.ReadsServed.Inc()
-			fin := now + c.cfg.SRAMLatency
-			c.observeRead(float64(fin - now))
-			if done != nil {
-				c.q.Schedule(fin, done)
-			}
+			c.serveFromSRAM(now, now, done)
 			return true
 		}
 	}
@@ -619,11 +644,11 @@ func (c *Controller) tick(now event.Cycle) {
 	}
 
 	var preDrain bool
-	var prePhases [16]refPhase
+	var prePhases []refPhase
 	if CrossCheckWake {
 		preDrain = c.draining
 		for r := range c.refresh {
-			prePhases[r] = c.refresh[r].phase
+			prePhases = append(prePhases, c.refresh[r].phase)
 		}
 	}
 
@@ -671,64 +696,11 @@ func (c *Controller) tick(now event.Cycle) {
 // refresh mode under it. Not safe to toggle mid-run.
 var CrossCheckWake bool
 
-// nextRefreshDue reports the earliest cycle at which any rank's
-// refresh machine wants attention: the earliest due time, except under
-// out-of-order scheduling where it is the earliest issuable pick or
-// slot-schedule boundary (oooWake).
-func (c *Controller) nextRefreshDue() (event.Cycle, bool) {
-	ooo := c.oooMode()
-	now := c.q.Now()
-	var best event.Cycle
-	found := false
-	for r := range c.refresh {
-		due := c.refresh[r].due
-		if ooo && c.refresh[r].phase == refIdle {
-			due = c.oooWake(r, now)
-		}
-		if !found || due < best {
-			best = due
-			found = true
-		}
-	}
-	return best, found
-}
-
-// bankMode reports whether refresh runs at bank granularity: a due
-// refresh targets one slot and demand blocking is per bank, not per
-// rank. SARP qualifies — its refresh command covers a slot — but its
-// banks never set refBusyUntil, so bankBlocked only covers the brief
-// refClosing quiesce of the target slot.
-func (c *Controller) bankMode() bool {
-	switch c.cfg.Mode {
-	case ModeBankRefresh, ModeROPBank, ModeOutOfOrderBank, ModeDARP, ModeSARP:
-		return true
-	}
-	return false
-}
-
-// oooMode reports whether refresh slots are scheduled out of order
-// (per-slot due times with the JEDEC pull-in/postpone window).
-func (c *Controller) oooMode() bool {
-	return c.cfg.Mode == ModeOutOfOrderBank || c.cfg.Mode == ModeDARP
-}
-
 // completeRead finishes a demand read or prefetch fill at dataAt.
 func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
 	if req.prefetch {
 		c.PrefetchFillsIssued.Inc()
-		if c.rop != nil {
-			key := c.rop.LineKey(req.loc)
-			buf := c.rop.Buffer()
-			if buf.Owner() == req.loc.Rank {
-				c.q.Schedule(dataAt, func(event.Cycle) {
-					// Re-check ownership at fill time: the refresh may
-					// have completed and released the buffer.
-					if buf.Owner() == req.loc.Rank {
-						buf.Insert(key)
-					}
-				})
-			}
-		}
+		c.bufferFill(req.loc, dataAt)
 		// Read merging: queued demand reads for the same line ride the
 		// fill's data burst instead of fetching from DRAM again.
 		kept := c.readQ[:0]
@@ -764,19 +736,38 @@ func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
 	for _, f := range c.fillQ {
 		if f.loc == req.loc {
 			c.removeReq(&c.fillQ, f)
-			if c.rop != nil {
-				key := c.rop.LineKey(req.loc)
-				buf := c.rop.Buffer()
-				if buf.Owner() == req.loc.Rank {
-					c.q.Schedule(dataAt, func(event.Cycle) {
-						if buf.Owner() == req.loc.Rank {
-							buf.Insert(key)
-						}
-					})
-				}
-			}
+			c.bufferFill(req.loc, dataAt)
 			break
 		}
+	}
+}
+
+// bufferFill inserts the line at loc into the SRAM buffer when its data
+// arrives at dataAt, provided loc's rank owns the buffer now and still
+// does then (the refresh may complete and release it in between).
+func (c *Controller) bufferFill(loc addr.Loc, dataAt event.Cycle) {
+	if c.rop == nil {
+		return
+	}
+	key, buf := c.rop.LineKey(loc), c.rop.Buffer()
+	if buf.Owner() == loc.Rank {
+		c.q.Schedule(dataAt, func(event.Cycle) {
+			if buf.Owner() == loc.Rank {
+				buf.Insert(key)
+			}
+		})
+	}
+}
+
+// serveFromSRAM completes a demand read that arrived at arrive from the
+// SRAM buffer at now.
+func (c *Controller) serveFromSRAM(arrive, now event.Cycle, done func(event.Cycle)) {
+	c.SRAMServed.Inc()
+	c.ReadsServed.Inc()
+	fin := now + c.cfg.SRAMLatency
+	c.observeRead(float64(fin - arrive))
+	if done != nil {
+		c.q.Schedule(fin, done)
 	}
 }
 
@@ -813,43 +804,32 @@ func (c *Controller) scheduleStep(now event.Cycle) bool {
 	return c.issueFrom(&c.readQ, now, false)
 }
 
-// bankBlocked is the bank-granularity refresh block (bank modes only):
-// the round's target refresh slot covers the bank and is quiescing, or
-// the bank is locked by its per-bank refresh.
-func (c *Controller) bankBlocked(rank, bank int, now event.Cycle) bool {
-	if c.refresh != nil {
-		if rr := &c.refresh[rank]; rr.phase == refClosing && rr.targetBank == c.dev.SlotOf(bank) {
-			return true
-		}
-	}
-	return c.dev.BankRefreshing(rank, bank, now)
-}
-
 // issueFrom applies FR-FCFS to one queue via its per-bank index. It
 // reports whether a command was issued (RD/WR data, ACT, or PRE).
 // Within each bank the index list is age-ordered, so the bank's oldest
 // row hit (pass 1) or oldest preparation candidate (pass 2) is found
 // without scanning the whole queue; the winner across banks is the one
 // with the lowest seq, which reproduces the original oldest-first
-// full-queue scan exactly.
+// full-queue scan exactly. Demand skips what refresh blocks: the rank or
+// unit its refresh is quiescing (closingUnit, asked once per rank) and,
+// when the granularity locks banks one by one, a locked bank.
 func (c *Controller) issueFrom(queue *[]*request, now event.Cycle, isWrite bool) bool {
 	ix := c.indexFor(queue)
 	demand := queue != &c.fillQ
+	locks := demand && c.gran.locksBanks()
 	// Pass 1: oldest row hit whose column command is legal now.
 	var hit *request
 	for r := 0; r < c.geo.Ranks; r++ {
 		if ix.rankN[r] == 0 || c.dev.Refreshing(r, now) {
 			continue
 		}
-		if demand && !c.bankMode() && c.refresh != nil && c.refresh[r].phase == refClosing {
+		skip := c.closingUnit(r, demand)
+		if skip == allUnits {
 			continue
 		}
 		for b := 0; b < c.geo.Banks; b++ {
 			l := ix.list(r, b)
-			if len(l) == 0 {
-				continue
-			}
-			if demand && c.bankMode() && c.bankBlocked(r, b, now) {
+			if len(l) == 0 || skip >= 0 && c.unitOf[b] == skip || locks && c.dev.BankRefreshing(r, b, now) {
 				continue
 			}
 			open := c.dev.OpenRow(r, b)
@@ -902,15 +882,13 @@ func (c *Controller) issueFrom(queue *[]*request, now event.Cycle, isWrite bool)
 		if ix.rankN[r] == 0 || c.dev.Refreshing(r, now) {
 			continue
 		}
-		if demand && !c.bankMode() && c.refresh != nil && c.refresh[r].phase == refClosing {
+		skip := c.closingUnit(r, demand)
+		if skip == allUnits {
 			continue
 		}
 		for b := 0; b < c.geo.Banks; b++ {
 			l := ix.list(r, b)
-			if len(l) == 0 {
-				continue
-			}
-			if demand && c.bankMode() && c.bankBlocked(r, b, now) {
+			if len(l) == 0 || skip >= 0 && c.unitOf[b] == skip || locks && c.dev.BankRefreshing(r, b, now) {
 				continue
 			}
 			open := c.dev.OpenRow(r, b)

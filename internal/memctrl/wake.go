@@ -36,14 +36,6 @@ import (
 // time.
 const cycleNever = event.Cycle(math.MaxInt64)
 
-// minCycle returns the smaller of two cycles.
-func minCycle(a, b event.Cycle) event.Cycle {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // armAfterTick schedules the controller's next wake from the post-tick
 // state, reproducing the arming decision of the original per-cycle
 // loop. While work remains (a command issued this tick, or any queue or
@@ -101,11 +93,11 @@ func (c *Controller) armChained(at event.Cycle) {
 func (c *Controller) nextWake(now event.Cycle) event.Cycle {
 	next := cycleNever
 	for r := range c.refresh {
-		next = minCycle(next, c.refreshWake(r, now))
+		next = min(next, c.refreshWake(r, now))
 	}
-	next = minCycle(next, c.scheduleWake(now))
+	next = min(next, c.scheduleWake(now))
 	if c.cfg.ClosedPage {
-		next = minCycle(next, c.closePageWake(now))
+		next = min(next, c.closePageWake(now))
 	}
 	return next
 }
@@ -119,20 +111,9 @@ func (c *Controller) refreshWake(r int, now event.Cycle) event.Cycle {
 	rr := &c.refresh[r]
 	switch rr.phase {
 	case refIdle:
-		if c.oooMode() {
-			return c.oooWake(r, now)
-		}
-		if c.cfg.Mode == ModeElastic && rr.backlog > 0 &&
-			(rr.backlog >= maxElasticBacklog || !c.hasDemandReads(r)) {
-			return now + 1 // owed refresh can issue in this idle gap
-		}
-		return rr.due
+		return c.order.startWake(c, r, now)
 	case refDraining:
-		empty := !c.hasDemandReads(r)
-		if c.bankMode() {
-			empty = !c.hasBankReads(r, rr.targetBank)
-		}
-		if empty {
+		if !c.unitHas(&c.readIdx, r, rr.target) {
 			return now + 1
 		}
 		return rr.drainDeadline
@@ -142,18 +123,10 @@ func (c *Controller) refreshWake(r int, now event.Cycle) event.Cycle {
 		}
 		return rr.deadline
 	case refPaused:
-		if !c.hasDemandReads(r) {
+		if !c.mustPause(r, now) {
 			return now + 1
 		}
-		// Forced resume: the first cycle pausingForced becomes true.
-		p := c.dev.Params()
-		segLen := p.RFC / pauseSegments
-		remaining := event.Cycle(pauseSegments-rr.segDone) * (segLen + pauseResumeOverhead + 20)
-		forcedAt := rr.due + p.REFI - remaining
-		if forcedAt <= now {
-			return now + 1
-		}
-		return forcedAt
+		return c.pauseForcedAt(r) // forced resume
 	case refClosing:
 		return c.closingWake(r, now)
 	case refRefreshing:
@@ -162,73 +135,68 @@ func (c *Controller) refreshWake(r int, now event.Cycle) event.Cycle {
 	return cycleNever
 }
 
-// oooWake reports the next cycle the out-of-order refresh scheduler
-// could act for rank r: now+1 when a slot is pickable right now
-// (refreshStep runs the pick on its next tick), else the earliest
-// upcoming slot-schedule boundary — the first cycle a refresh becomes
-// owed (possibly forcing an issue) or a pull-in credit decays (freeing
-// room for another pull-in), either of which can change the pick.
-// Queue changes that unblock a pick between boundaries arm immediate
-// ticks of their own.
-func (c *Controller) oooWake(r int, now event.Cycle) event.Cycle {
-	if slot, _ := c.pickOoOSlot(r, now); slot >= 0 {
+// nextRefreshDue reports the earliest cycle any rank's refresh machine
+// wants attention, for a controller with every rank idle: the
+// orderings' start wakes.
+func (c *Controller) nextRefreshDue() (event.Cycle, bool) {
+	next := cycleNever
+	for r := range c.refresh {
+		next = min(next, c.refreshWake(r, c.q.Now()))
+	}
+	return next, next < cycleNever
+}
+
+// startWake for the in-order family is the next boundary.
+func (inOrder) startWake(c *Controller, r int, _ event.Cycle) event.Cycle {
+	return c.refresh[r].due
+}
+
+// startWake for elastic refresh is now+1 while an owed refresh can
+// issue in this idle gap, else the next boundary.
+func (elastic) startWake(c *Controller, r int, now event.Cycle) event.Cycle {
+	if elasticIssues(c, r) {
+		return now + 1
+	}
+	return c.refresh[r].due
+}
+
+// startWake for out-of-order refresh is now+1 when a unit is pickable
+// right now (refreshStep runs the pick on its next tick), else the
+// earliest upcoming unit-schedule boundary — the first cycle a refresh
+// becomes owed (possibly forcing an issue) or a pull-in credit decays
+// (freeing room for another pull-in), either of which can change the
+// pick. Queue changes that unblock a pick between boundaries arm
+// immediate ticks of their own.
+func (o outOfOrder) startWake(c *Controller, r int, now event.Cycle) event.Cycle {
+	if u, _ := o.pick(c, r, now); u >= 0 {
 		return now + 1
 	}
 	refi := c.dev.Params().REFI
 	t := cycleNever
-	for _, d := range c.refresh[r].slotDue {
+	for _, d := range c.refresh[r].unitDue {
 		var b event.Cycle
 		if d > now {
-			// Next cycle this slot's ahead-count drops by one (its due
+			// Next cycle this unit's ahead-count drops by one (its due
 			// boundary when only one tREFI ahead).
 			b = d - ((d-now-1)/refi)*refi
 		} else {
 			// Already owed: next cycle its owed-count grows by one.
 			b = d + ((now-d)/refi+1)*refi
 		}
-		t = minCycle(t, b)
+		t = min(t, b)
 	}
 	return t
 }
 
-// closingWake reports when the closing sequence can issue its next
-// command: the first open bank's legal PRE, or — once quiesced — the
-// legal REF (rank, per-bank, or per-subarray form, matching
-// closeStep/closeBankStep/closeSubarrayStep).
+// closingWake reports when the closing walk (closeStep) can issue its
+// next command: the first conflicting open row's legal PRE, or — once
+// the target is quiet — its legal refresh command.
 func (c *Controller) closingWake(r int, now event.Cycle) event.Cycle {
 	rr := &c.refresh[r]
-	base := now + 1
-	switch {
-	case c.cfg.Mode == ModeSubarrayRefresh:
-		b, sa := rr.targetBank, rr.targetSA
-		if open := c.dev.OpenRow(r, b); open >= 0 && c.dev.SubarrayOf(int(open)) == sa {
-			return c.dev.EarliestPRE(base, r, b)
-		}
-		return c.dev.EarliestREFsa(base, r, b, sa)
-	case c.cfg.Mode == ModeSARP:
-		slot := rr.targetBank
-		sa := rr.slotSA[slot]
-		for _, b := range c.dev.SlotBanks(slot) {
-			if open := c.dev.OpenRow(r, b); open >= 0 && c.dev.SubarrayOf(int(open)) == sa {
-				return c.dev.EarliestPRE(base, r, b)
-			}
-		}
-		return c.dev.EarliestREFpbSub(base, r, slot, sa)
-	case c.bankMode():
-		for _, b := range c.dev.SlotBanks(rr.targetBank) {
-			if c.dev.OpenRow(r, b) >= 0 {
-				return c.dev.EarliestPRE(base, r, b)
-			}
-		}
-		return c.dev.EarliestREFSlot(base, r, rr.targetBank)
-	default:
-		for b := 0; b < c.geo.Banks; b++ {
-			if c.dev.OpenRow(r, b) >= 0 {
-				return c.dev.EarliestPRE(base, r, b)
-			}
-		}
-		return c.dev.EarliestREF(base, r)
+	if b := c.conflictingBank(r, rr); b >= 0 {
+		return c.dev.EarliestPRE(now+1, r, b)
 	}
+	return c.earliestREF(now+1, r, rr)
 }
 
 // nextDrainState applies one per-cycle update of the write-drain
@@ -260,10 +228,10 @@ func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
 	}
 	t := c.queueWake(&c.readIdx, now, false, true)
 	if len(c.fillQ) > 0 {
-		t = minCycle(t, c.queueWake(&c.fillIdx, now, false, false))
+		t = min(t, c.queueWake(&c.fillIdx, now, false, false))
 	}
 	if f1 {
-		t = minCycle(t, c.queueWake(&c.writeIdx, now, true, true))
+		t = min(t, c.queueWake(&c.writeIdx, now, true, true))
 	}
 	return t
 }
@@ -272,28 +240,24 @@ func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
 // queue could issue its next command (column access, PRE, or ACT), or
 // cycleNever when nothing is pending. demand applies the refresh
 // blocking rules that issueFrom applies to non-prefetch traffic; banks
-// skipped here (quiescing rank or target bank) are re-armed by the
+// skipped here (a quiescing rank or refresh unit) are re-armed by the
 // tick that advances the refresh phase.
 func (c *Controller) queueWake(ix *bankIndex, now event.Cycle, isWrite, demand bool) event.Cycle {
 	t := cycleNever
 	base := now + 1
-	saMode := c.cfg.Mode == ModeSubarrayRefresh || c.cfg.Mode == ModeSARP
+	perRow := c.gran.subarrays()
 	for r := 0; r < c.geo.Ranks; r++ {
 		if ix.rankN[r] == 0 {
 			continue
 		}
-		if demand && !c.bankMode() && c.refresh != nil && c.refresh[r].phase == refClosing {
+		skip := c.closingUnit(r, demand)
+		if skip == allUnits {
 			continue
 		}
 		for b := 0; b < c.geo.Banks; b++ {
 			l := ix.list(r, b)
-			if len(l) == 0 {
+			if len(l) == 0 || skip >= 0 && c.unitOf[b] == skip {
 				continue
-			}
-			if demand && c.bankMode() && c.refresh != nil {
-				if rr := &c.refresh[r]; rr.phase == refClosing && rr.targetBank == c.dev.SlotOf(b) {
-					continue
-				}
 			}
 			if open := c.dev.OpenRow(r, b); open >= 0 {
 				// One representative per class suffices: all row hits
@@ -302,7 +266,7 @@ func (c *Controller) queueWake(ix *bankIndex, now event.Cycle, isWrite, demand b
 				for _, req := range l {
 					hit := int64(req.loc.Row) == open
 					if (hit && !seenHit) || (!hit && !seenMiss) {
-						t = minCycle(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
+						t = min(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
 					}
 					seenHit = seenHit || hit
 					seenMiss = seenMiss || !hit
@@ -314,8 +278,8 @@ func (c *Controller) queueWake(ix *bankIndex, now event.Cycle, isWrite, demand b
 				// Closed bank: ACT legality is row-independent except for
 				// per-subarray refresh locks.
 				for _, req := range l {
-					t = minCycle(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
-					if !saMode {
+					t = min(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
+					if !perRow {
 						break
 					}
 				}
@@ -339,7 +303,7 @@ func (c *Controller) closePageWake(now event.Cycle) event.Cycle {
 			if open < 0 || c.rowWanted(r, b, int(open)) {
 				continue
 			}
-			t = minCycle(t, c.dev.EarliestPRE(now+1, r, b))
+			t = min(t, c.dev.EarliestPRE(now+1, r, b))
 		}
 	}
 	return t

@@ -364,7 +364,7 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if cfg.Mode == memctrl.ModeNoRefresh {
+	if !cfg.Mode.Refreshes() {
 		params = dram.NoRefresh(params)
 	}
 	dev := dram.NewDevice(params, geo)
@@ -396,11 +396,9 @@ func run(ctx context.Context, cfg Config) (*Result, *dram.Device, *memctrl.Contr
 	var checkErr error
 	if cfg.Check {
 		checker := dram.NewChecker(params, geo)
-		if cfg.Mode == memctrl.ModeSARP {
-			// SARP confines a full per-bank refresh to one subarray, so
-			// its REFsa commands lock for tRFCpb, not tRFCsa.
-			checker.REFsaDur = params.RFCpb
-		}
+		// SARP confines a full per-bank refresh to one subarray, so its
+		// REFsa commands lock for tRFCpb, not tRFCsa.
+		checker.REFsaDur = cfg.Mode.SubarrayLock(params)
 		ctrl.SetCommandObserver(func(cmd dram.Command) {
 			if checkErr == nil {
 				checkErr = checker.Check(cmd)

@@ -157,7 +157,9 @@ func refreshModeConsts(t *testing.T) []string {
 
 // TestPoliciesDocComplete enforces the policy-taxonomy contract: every
 // Mode constant registered in internal/memctrl must be documented in
-// docs/POLICIES.md, and the checked-in experiments_output.txt must
+// docs/POLICIES.md, each preset's At-a-glance row must name its
+// granularity, ordering and prefetch parts as the preset table composes
+// them, and the checked-in experiments_output.txt must
 // include the policies sweep so the committed artifact cannot go stale
 // against the experiment set.
 func TestPoliciesDocComplete(t *testing.T) {
@@ -168,6 +170,33 @@ func TestPoliciesDocComplete(t *testing.T) {
 	for _, name := range refreshModeConsts(t) {
 		if !strings.Contains(string(text), name) {
 			t.Errorf("docs/POLICIES.md does not document %s", name)
+		}
+	}
+	// Each preset's "At a glance" row (the first table row naming its
+	// -mode) must list the parts the preset table composes it from.
+	rows := map[string][]string{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			if key := strings.TrimSpace(cells[1]); rows[key] == nil {
+				rows[key] = cells
+			}
+		}
+	}
+	for _, m := range Modes() {
+		gran, order := m.Parts()
+		prefetch := "off"
+		if m.Prefetches() {
+			prefetch = "on"
+		}
+		cells := rows["`"+m.String()+"`"]
+		if len(cells) < 6 {
+			t.Errorf("docs/POLICIES.md has no At-a-glance row for %s", m)
+			continue
+		}
+		for i, want := range []string{gran, order, prefetch} {
+			if got := strings.TrimSpace(cells[3+i]); got != want {
+				t.Errorf("docs/POLICIES.md row %s: part column %d is %q, the preset table says %q", m, i+1, got, want)
+			}
 		}
 	}
 	out, err := os.ReadFile("experiments_output.txt")

@@ -73,6 +73,13 @@ const (
 	ModeSARP = memctrl.ModeSARP
 )
 
+// ParseMode returns the refresh mode a -mode name selects; the error
+// for an unknown name lists the valid ones.
+func ParseMode(name string) (Mode, error) { return memctrl.ParseMode(name) }
+
+// Modes lists every refresh mode in declaration order.
+func Modes() []Mode { return memctrl.Modes() }
+
 // GatePolicy selects how ROP decides to launch a prefetch.
 type GatePolicy = core.GatePolicy
 
