@@ -73,8 +73,7 @@ type bank struct {
 
 	actAllowed event.Cycle // earliest next ACT
 	preAllowed event.Cycle // earliest next PRE
-	rdAllowed  event.Cycle // earliest next RD (row must also be open)
-	wrAllowed  event.Cycle // earliest next WR
+	rcdAllowed event.Cycle // earliest next RD or WR: tRCD after the ACT (see rank.colAllowed)
 
 	refBusyUntil event.Cycle // bank locked by a per-bank refresh
 
@@ -88,6 +87,7 @@ type rank struct {
 	banks []bank
 
 	rrdAllowed   event.Cycle    // ACT-to-ACT across banks (tRRD)
+	colAllowed   event.Cycle    // column-to-column across banks (tCCD)
 	faw          [4]event.Cycle // times of the last four ACTs
 	fawIdx       int
 	rdAfterWrite event.Cycle // tWTR: end of write data + WTR
@@ -253,9 +253,9 @@ func (d *Device) SubarrayRefreshing(rankID, bankID, row int, now event.Cycle) bo
 func (d *Device) EarliestREFsa(now event.Cycle, rankID, bankID, sa int) event.Cycle {
 	rk := &d.ranks[rankID]
 	bk := &rk.banks[bankID]
-	t := maxCycle(now, rk.refBusyUntil, bk.refBusyUntil)
+	t := max(now, rk.refBusyUntil, bk.refBusyUntil)
 	if bk.saRefBusyUntil != nil {
-		t = maxCycle(t, bk.saRefBusyUntil[sa])
+		t = max(t, bk.saRefBusyUntil[sa])
 	}
 	return t
 }
@@ -305,7 +305,7 @@ func (d *Device) AnySubarrayRefreshing(rankID, bankID int, now event.Cycle) bool
 func (d *Device) EarliestREFpbSub(now event.Cycle, rankID, slot, sa int) event.Cycle {
 	t := now
 	for _, b := range d.slotBanks[slot] {
-		t = maxCycle(t, d.EarliestREFsa(now, rankID, b, sa))
+		t = max(t, d.EarliestREFsa(now, rankID, b, sa))
 	}
 	return t
 }
@@ -345,7 +345,7 @@ func (d *Device) IssueREFpbSub(at event.Cycle, rankID, slot, sa int) event.Cycle
 func (d *Device) EarliestREFpb(now event.Cycle, rankID, bankID int) event.Cycle {
 	rk := &d.ranks[rankID]
 	bk := &rk.banks[bankID]
-	return maxCycle(now, bk.actAllowed, bk.refBusyUntil, rk.refBusyUntil)
+	return max(now, bk.actAllowed, bk.refBusyUntil, rk.refBusyUntil)
 }
 
 // IssueREFpb commits a per-bank refresh: only the target bank locks for
@@ -361,7 +361,7 @@ func (d *Device) IssueREFpb(at event.Cycle, rankID, bankID int) event.Cycle {
 	}
 	end := at + d.p.RFCpb
 	bk.refBusyUntil = end
-	bk.actAllowed = maxCycle(bk.actAllowed, end)
+	bk.actAllowed = max(bk.actAllowed, end)
 	d.NumREF.Inc()
 	d.RefLockedCycles.Add(int64(d.p.RFCpb))
 	return end
@@ -374,7 +374,7 @@ func (d *Device) IssueREFpb(at event.Cycle, rankID, bankID int) event.Cycle {
 func (d *Device) EarliestREFSlot(now event.Cycle, rankID, slot int) event.Cycle {
 	t := now
 	for _, b := range d.slotBanks[slot] {
-		t = maxCycle(t, d.EarliestREFpb(now, rankID, b))
+		t = max(t, d.EarliestREFpb(now, rankID, b))
 	}
 	return t
 }
@@ -397,7 +397,7 @@ func (d *Device) IssueREFSlot(at event.Cycle, rankID, slot int) event.Cycle {
 			panic("dram: slot refresh with open bank")
 		}
 		bk.refBusyUntil = end
-		bk.actAllowed = maxCycle(bk.actAllowed, end)
+		bk.actAllowed = max(bk.actAllowed, end)
 		d.RefLockedCycles.Add(int64(d.p.RFCpb))
 	}
 	d.NumREF.Inc()
@@ -410,27 +410,18 @@ func (d *Device) RefreshEnd(rankID int) event.Cycle {
 	return d.ranks[rankID].refBusyUntil
 }
 
-func maxCycle(vs ...event.Cycle) event.Cycle {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // fawNever marks an empty slot in the four-activate ring buffer.
 const fawNever = event.Cycle(-1)
 
 // fawAllowed reports the earliest cycle a new ACT satisfies the
-// four-activate window: the fourth-newest ACT must be at least tFAW old.
-func (r *rank) fawAllowed(p Params) event.Cycle {
+// four-activate window: the fourth-newest ACT must be at least tFAW
+// (the faw argument) old.
+func (r *rank) fawAllowed(faw event.Cycle) event.Cycle {
 	oldest := r.faw[r.fawIdx] // ring buffer: current index holds the 4th-newest
 	if oldest == fawNever {
 		return 0
 	}
-	return oldest + p.FAW
+	return oldest + faw
 }
 
 // EarliestACT reports the first cycle ≥ now at which ACT(rank,bank) is
@@ -438,7 +429,7 @@ func (r *rank) fawAllowed(p Params) event.Cycle {
 func (d *Device) EarliestACT(now event.Cycle, rankID, bankID int) event.Cycle {
 	rk := &d.ranks[rankID]
 	bk := &rk.banks[bankID]
-	return maxCycle(now, bk.actAllowed, bk.refBusyUntil, rk.rrdAllowed, rk.fawAllowed(d.p), rk.refBusyUntil)
+	return max(now, bk.actAllowed, bk.refBusyUntil, rk.rrdAllowed, rk.fawAllowed(d.p.FAW), rk.refBusyUntil)
 }
 
 // EarliestACTRow is EarliestACT extended with subarray-level refresh
@@ -447,7 +438,7 @@ func (d *Device) EarliestACTRow(now event.Cycle, rankID, bankID, row int) event.
 	t := d.EarliestACT(now, rankID, bankID)
 	bk := &d.ranks[rankID].banks[bankID]
 	if bk.saRefBusyUntil != nil {
-		t = maxCycle(t, bk.saRefBusyUntil[d.SubarrayOf(row)])
+		t = max(t, bk.saRefBusyUntil[d.SubarrayOf(row)])
 	}
 	return t
 }
@@ -461,11 +452,10 @@ func (d *Device) IssueACT(at event.Cycle, rankID, bankID, row int) {
 		panic("dram: ACT on bank with open row")
 	}
 	bk.openRow = int64(row)
-	bk.rdAllowed = maxCycle(bk.rdAllowed, at+d.p.RCD)
-	bk.wrAllowed = maxCycle(bk.wrAllowed, at+d.p.RCD)
-	bk.preAllowed = maxCycle(bk.preAllowed, at+d.p.RAS)
-	bk.actAllowed = maxCycle(bk.actAllowed, at+d.p.RC)
-	rk.rrdAllowed = maxCycle(rk.rrdAllowed, at+d.p.RRD)
+	bk.rcdAllowed = max(bk.rcdAllowed, at+d.p.RCD)
+	bk.preAllowed = max(bk.preAllowed, at+d.p.RAS)
+	bk.actAllowed = max(bk.actAllowed, at+d.p.RC)
+	rk.rrdAllowed = max(rk.rrdAllowed, at+d.p.RRD)
 	rk.faw[rk.fawIdx] = at
 	rk.fawIdx = (rk.fawIdx + 1) % len(rk.faw)
 	d.NumACT.Inc()
@@ -476,7 +466,7 @@ func (d *Device) IssueACT(at event.Cycle, rankID, bankID, row int) {
 func (d *Device) EarliestPRE(now event.Cycle, rankID, bankID int) event.Cycle {
 	rk := &d.ranks[rankID]
 	bk := &rk.banks[bankID]
-	return maxCycle(now, bk.preAllowed, rk.refBusyUntil)
+	return max(now, bk.preAllowed, rk.refBusyUntil)
 }
 
 // IssuePRE commits a precharge: closes the row and starts tRP.
@@ -486,7 +476,7 @@ func (d *Device) IssuePRE(at event.Cycle, rankID, bankID int) {
 		panic("dram: PRE on precharged bank")
 	}
 	bk.openRow = noRow
-	bk.actAllowed = maxCycle(bk.actAllowed, at+d.p.RP)
+	bk.actAllowed = max(bk.actAllowed, at+d.p.RP)
 	d.NumPRE.Inc()
 }
 
@@ -497,7 +487,7 @@ func (d *Device) busAvailable(want event.Cycle, rankID int) event.Cycle {
 	if d.lastBusRank >= 0 && d.lastBusRank != rankID {
 		free += d.p.RTR
 	}
-	return maxCycle(want, free)
+	return max(want, free)
 }
 
 // EarliestRD reports the first cycle ≥ now at which RD(rank,bank) is
@@ -505,7 +495,7 @@ func (d *Device) busAvailable(want event.Cycle, rankID int) event.Cycle {
 func (d *Device) EarliestRD(now event.Cycle, rankID, bankID int) event.Cycle {
 	rk := &d.ranks[rankID]
 	bk := &rk.banks[bankID]
-	t := maxCycle(now, bk.rdAllowed, rk.rdAfterWrite, rk.refBusyUntil)
+	t := max(now, bk.rcdAllowed, rk.colAllowed, rk.rdAfterWrite, rk.refBusyUntil)
 	// The burst occupies the bus [t+CL, t+CL+BL/2); push t until it fits.
 	for {
 		dataStart := t + d.p.CL
@@ -525,18 +515,13 @@ func (d *Device) IssueRD(at event.Cycle, rankID, bankID int) event.Cycle {
 	if bk.openRow == noRow {
 		panic("dram: RD on precharged bank")
 	}
-	bk.rdAllowed = maxCycle(bk.rdAllowed, at+d.p.CCD)
-	bk.wrAllowed = maxCycle(bk.wrAllowed, at+d.p.CCD)
-	bk.preAllowed = maxCycle(bk.preAllowed, at+d.p.RTP)
+	bk.preAllowed = max(bk.preAllowed, at+d.p.RTP)
 	dataStart := at + d.p.CL
 	dataEnd := dataStart + d.p.DataCycles()
 	d.busFreeAt = dataEnd
 	d.lastBusRank = rankID
-	// Column commands to sibling banks share the command/column pipes.
-	for b := range rk.banks {
-		rk.banks[b].rdAllowed = maxCycle(rk.banks[b].rdAllowed, at+d.p.CCD)
-		rk.banks[b].wrAllowed = maxCycle(rk.banks[b].wrAllowed, at+d.p.CCD)
-	}
+	// Column commands to every bank of the rank share the column pipes.
+	rk.colAllowed = max(rk.colAllowed, at+d.p.CCD)
 	d.NumRD.Inc()
 	return dataEnd
 }
@@ -546,7 +531,7 @@ func (d *Device) IssueRD(at event.Cycle, rankID, bankID int) event.Cycle {
 func (d *Device) EarliestWR(now event.Cycle, rankID, bankID int) event.Cycle {
 	rk := &d.ranks[rankID]
 	bk := &rk.banks[bankID]
-	t := maxCycle(now, bk.wrAllowed, rk.refBusyUntil)
+	t := max(now, bk.rcdAllowed, rk.colAllowed, rk.refBusyUntil)
 	for {
 		dataStart := t + d.p.CWL
 		avail := d.busAvailable(dataStart, rankID)
@@ -567,14 +552,11 @@ func (d *Device) IssueWR(at event.Cycle, rankID, bankID int) event.Cycle {
 	}
 	dataStart := at + d.p.CWL
 	dataEnd := dataStart + d.p.DataCycles()
-	bk.preAllowed = maxCycle(bk.preAllowed, dataEnd+d.p.WR)
-	rk.rdAfterWrite = maxCycle(rk.rdAfterWrite, dataEnd+d.p.WTR)
+	bk.preAllowed = max(bk.preAllowed, dataEnd+d.p.WR)
+	rk.rdAfterWrite = max(rk.rdAfterWrite, dataEnd+d.p.WTR)
 	d.busFreeAt = dataEnd
 	d.lastBusRank = rankID
-	for b := range rk.banks {
-		rk.banks[b].rdAllowed = maxCycle(rk.banks[b].rdAllowed, at+d.p.CCD)
-		rk.banks[b].wrAllowed = maxCycle(rk.banks[b].wrAllowed, at+d.p.CCD)
-	}
+	rk.colAllowed = max(rk.colAllowed, at+d.p.CCD)
 	d.NumWR.Inc()
 	return dataEnd
 }
@@ -621,10 +603,10 @@ func (d *Device) AllBanksClosed(rankID int) bool {
 // ensure AllBanksClosed before issuing.
 func (d *Device) EarliestREF(now event.Cycle, rankID int) event.Cycle {
 	rk := &d.ranks[rankID]
-	t := maxCycle(now, rk.refBusyUntil)
+	t := max(now, rk.refBusyUntil)
 	for b := range rk.banks {
 		// tRP must have elapsed since the closing PRE; actAllowed encodes it.
-		t = maxCycle(t, rk.banks[b].actAllowed)
+		t = max(t, rk.banks[b].actAllowed)
 	}
 	return t
 }
@@ -657,7 +639,7 @@ func (d *Device) lockForRefresh(at event.Cycle, rankID int, dur event.Cycle) eve
 	end := at + dur
 	rk.refBusyUntil = end
 	for b := range rk.banks {
-		rk.banks[b].actAllowed = maxCycle(rk.banks[b].actAllowed, end)
+		rk.banks[b].actAllowed = max(rk.banks[b].actAllowed, end)
 	}
 	d.RefLockedCycles.Add(int64(dur))
 	return end
