@@ -9,8 +9,8 @@ import (
 )
 
 // Microbenchmarks for the controller hot paths: demand service through
-// the per-bank index lists, and the exact-wake sleep through refresh
-// cadence with no traffic. cmd/benchgate snapshots these numbers into
+// the per-bank queues, FR-FCFS on a wide channel with few busy banks,
+// and the exact-wake sleep through refresh cadence with no traffic. cmd/benchgate snapshots these numbers into
 // BENCH_<date>.json.
 
 func benchController(mode Mode) (*Controller, *event.Queue) {
@@ -72,5 +72,43 @@ func BenchmarkIdleRefreshCadence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.RunUntil(q.Now() + refi)
+	}
+}
+
+// BenchmarkScheduleSparseDDR5 measures FR-FCFS issue and wake on a
+// DDR5-4800 channel of 4 ranks × 32 banks where only four banks hold
+// work: each iteration queues 16 reads over them, two rows per bank, so
+// the batch mixes row hits and misses, and dispatches until all 16 have
+// returned.
+func BenchmarkScheduleSparseDDR5(b *testing.B) {
+	std, err := dram.Lookup("DDR5-4800")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := std.Params(dram.Refresh1x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &event.Queue{}
+	c := MustNew(DefaultConfig(ModeNoRefresh), dram.NewDevice(dram.NoRefresh(p), std.Geometry(4)), q)
+	busy := [...]addr.Loc{{Rank: 0, Bank: 3}, {Rank: 1, Bank: 17}, {Rank: 2, Bank: 8}, {Rank: 3, Bank: 30}}
+	pending := 0
+	done := func(event.Cycle) { pending-- }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 16; j++ {
+			loc := busy[j%len(busy)]
+			loc.Row, loc.Col = (i+j/8)%4, j
+			if !c.EnqueueRead(loc, 0, done) {
+				b.Fatal("enqueue rejected")
+			}
+			pending++
+		}
+		for pending > 0 {
+			if !q.Step() {
+				b.Fatal("queue drained before the batch completed")
+			}
+		}
 	}
 }

@@ -246,15 +246,12 @@ type Controller struct {
 	q   *event.Queue
 	geo addr.Geometry
 
-	readQ    []*request
-	writeQ   []*request
-	fillQ    []*request // ROP prefetch fills for the rank about to refresh
-	draining bool       // write batch in progress
-
-	// readIdx/writeIdx/fillIdx are per-(rank,bank) views of the three
-	// queues (see bankIndex); reqSeq stamps requests with their age.
+	// readIdx, writeIdx and fillIdx are the demand read, write and ROP
+	// prefetch fill queues, each stored per (rank, bank) (see
+	// bankIndex); reqSeq stamps requests with their age.
 	readIdx, writeIdx, fillIdx bankIndex
 	reqSeq                     int64
+	draining                   bool // write batch in progress
 
 	// The refresh parts (refresh.go): the granularity's units (each
 	// unit's banks, and each bank's unit) and in-order cadence, the
@@ -482,10 +479,10 @@ func (c *Controller) emit(cmd dram.Command) {
 func (c *Controller) SetSpaceNotify(fn func()) { c.spaceFn = fn }
 
 // ReadQueueLen reports current read queue occupancy.
-func (c *Controller) ReadQueueLen() int { return len(c.readQ) }
+func (c *Controller) ReadQueueLen() int { return c.readIdx.n }
 
 // WriteQueueLen reports current write queue occupancy.
-func (c *Controller) WriteQueueLen() int { return len(c.writeQ) }
+func (c *Controller) WriteQueueLen() int { return c.writeIdx.n }
 
 // ensureWake arms a tick at cycle at unless one is already armed at or
 // before it. Arming an earlier wake does not cancel the later event
@@ -533,7 +530,7 @@ var debugWake func(what string, now, at event.Cycle, wakeAt int)
 // command-queue-seizure backpressure).
 func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) bool {
 	now := c.q.Now()
-	if len(c.readQ) >= c.cfg.ReadQueueCap {
+	if c.readIdx.n >= c.cfg.ReadQueueCap {
 		c.QueueFullEvents.Inc()
 		return false
 	}
@@ -554,7 +551,7 @@ func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) 
 			return true
 		}
 	}
-	c.pushRequest(&c.readQ, &request{loc: loc, arrive: now, src: src, done: done})
+	c.pushRequest(&c.readIdx, &request{loc: loc, arrive: now, src: src, done: done})
 	if CrossCheckWake {
 		c.lastExact = now
 	}
@@ -566,7 +563,7 @@ func (c *Controller) EnqueueRead(loc addr.Loc, src int, done func(event.Cycle)) 
 // queue is full.
 func (c *Controller) EnqueueWrite(loc addr.Loc, src int) bool {
 	now := c.q.Now()
-	if len(c.writeQ) >= c.cfg.WriteQueueCap {
+	if c.writeIdx.n >= c.cfg.WriteQueueCap {
 		c.QueueFullEvents.Inc()
 		return false
 	}
@@ -577,7 +574,7 @@ func (c *Controller) EnqueueWrite(loc addr.Loc, src int) bool {
 		c.rop.OnRequest(loc, false, now)
 		c.rop.OnWrite(loc)
 	}
-	c.pushRequest(&c.writeQ, &request{loc: loc, arrive: now, src: src})
+	c.pushRequest(&c.writeIdx, &request{loc: loc, arrive: now, src: src})
 	if CrossCheckWake {
 		c.lastExact = now
 	}
@@ -585,31 +582,17 @@ func (c *Controller) EnqueueWrite(loc addr.Loc, src int) bool {
 	return true
 }
 
-// pushRequest stamps req's age, appends it to the queue, and mirrors
-// it into the queue's bank index. Every enqueue site routes through
-// here so queue and index cannot drift.
-func (c *Controller) pushRequest(queue *[]*request, req *request) {
+// pushRequest stamps req's age and adds it to the queue ix. Every
+// enqueue site routes through here, so seqs grow in add order.
+func (c *Controller) pushRequest(ix *bankIndex, req *request) {
 	c.reqSeq++
 	req.seq = c.reqSeq
-	*queue = append(*queue, req)
-	c.indexFor(queue).add(req)
-}
-
-// indexFor maps a queue to its bank index.
-func (c *Controller) indexFor(queue *[]*request) *bankIndex {
-	switch queue {
-	case &c.readQ:
-		return &c.readIdx
-	case &c.writeQ:
-		return &c.writeIdx
-	default:
-		return &c.fillIdx
-	}
+	ix.add(req)
 }
 
 // Idle reports whether the controller has no pending work at all.
 func (c *Controller) Idle() bool {
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.fillQ) > 0 {
+	if c.readIdx.n > 0 || c.writeIdx.n > 0 || c.fillIdx.n > 0 {
 		return false
 	}
 	for r := range c.refresh {
@@ -698,29 +681,30 @@ var CrossCheckWake bool
 
 // completeRead finishes a demand read or prefetch fill at dataAt.
 func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
+	r, b := req.loc.Rank, req.loc.Bank
 	if req.prefetch {
 		c.PrefetchFillsIssued.Inc()
 		c.bufferFill(req.loc, dataAt)
 		// Read merging: queued demand reads for the same line ride the
-		// fill's data burst instead of fetching from DRAM again.
-		kept := c.readQ[:0]
+		// fill's data burst instead of fetching from DRAM again. They sit
+		// in the line's bank list, oldest first.
 		merged := false
-		for _, dr := range c.readQ {
-			if dr.loc == req.loc {
-				c.ReadsServed.Inc()
-				c.observeRead(float64(dataAt - dr.arrive))
-				if dr.done != nil {
-					done := dr.done
-					c.q.Schedule(dataAt, done)
-				}
-				merged = true
+		for l, i := c.readIdx.list(r, b), 0; i < len(l); {
+			dr := l[i]
+			if dr.loc != req.loc {
+				i++
 				continue
 			}
-			kept = append(kept, dr)
+			c.ReadsServed.Inc()
+			c.observeRead(float64(dataAt - dr.arrive))
+			if dr.done != nil {
+				c.q.Schedule(dataAt, dr.done)
+			}
+			c.readIdx.remove(dr)
+			l = c.readIdx.list(r, b)
+			merged = true
 		}
 		if merged {
-			c.readQ = kept
-			c.readIdx.rebuild(c.readQ)
 			c.notifySpace()
 		}
 		return
@@ -728,14 +712,13 @@ func (c *Controller) completeRead(req *request, dataAt event.Cycle) {
 	c.ReadsServed.Inc()
 	c.observeRead(float64(dataAt - req.arrive))
 	if req.done != nil {
-		done := req.done
-		c.q.Schedule(dataAt, func(at event.Cycle) { done(at) })
+		c.q.Schedule(dataAt, req.done)
 	}
 	// Symmetric merge: a pending prefetch fill for the same line rides
 	// this demand burst into the buffer.
-	for _, f := range c.fillQ {
+	for _, f := range c.fillIdx.list(r, b) {
 		if f.loc == req.loc {
-			c.removeReq(&c.fillQ, f)
+			c.removeReq(&c.fillIdx, f)
 			c.bufferFill(req.loc, dataAt)
 			break
 		}
@@ -784,173 +767,140 @@ func (c *Controller) scheduleStep(now event.Cycle) bool {
 	// opportunistically alongside). An active fill window takes priority
 	// over write drain batches: fills have a hard deadline before the
 	// refresh freezes the rank, writes are posted and can wait.
-	if !c.draining || len(c.fillQ) > 0 {
-		if c.issueFrom(&c.readQ, now, false) {
+	if !c.draining || c.fillIdx.n > 0 {
+		if c.issueNext(&c.readIdx, now, false) {
 			return true
 		}
-		if len(c.fillQ) > 0 && c.issueFrom(&c.fillQ, now, false) {
+		if c.fillIdx.n > 0 && c.issueNext(&c.fillIdx, now, false) {
 			return true
 		}
 		if c.draining {
-			return c.issueFrom(&c.writeQ, now, true)
+			return c.issueNext(&c.writeIdx, now, true)
 		}
 		return false
 	}
-	if c.issueFrom(&c.writeQ, now, true) {
+	if c.issueNext(&c.writeIdx, now, true) {
 		return true
 	}
 	// Drain mode with nothing issuable: let reads through anyway so a
 	// blocked write bank does not stall ready reads.
-	return c.issueFrom(&c.readQ, now, false)
+	return c.issueNext(&c.readIdx, now, false)
 }
 
-// issueFrom applies FR-FCFS to one queue via its per-bank index. It
-// reports whether a command was issued (RD/WR data, ACT, or PRE).
-// Within each bank the index list is age-ordered, so the bank's oldest
-// row hit (pass 1) or oldest preparation candidate (pass 2) is found
-// without scanning the whole queue; the winner across banks is the one
-// with the lowest seq, which reproduces the original oldest-first
-// full-queue scan exactly. Demand skips what refresh blocks: the rank or
-// unit its refresh is quiescing (closingUnit, asked once per rank) and,
-// when the granularity locks banks one by one, a locked bank.
-func (c *Controller) issueFrom(queue *[]*request, now event.Cycle, isWrite bool) bool {
-	ix := c.indexFor(queue)
-	demand := queue != &c.fillQ
+// issueNext applies FR-FCFS to the queue ix at now: issueFrom picks a
+// request and issue commits its next command. It reports whether a
+// command was issued (RD/WR data, ACT, or PRE).
+func (c *Controller) issueNext(ix *bankIndex, now event.Cycle, isWrite bool) bool {
+	req, kind := c.issueFrom(ix, now, isWrite, ix != &c.fillIdx)
+	if req == nil {
+		return false
+	}
+	c.issue(ix, req, kind, now)
+	return true
+}
+
+// issueFrom is FR-FCFS over the queue ix at now, without side effects: the
+// oldest row hit whose column command (RD, or WR when isWrite) is legal
+// now, else the oldest request whose bank-preparation command (PRE for a
+// conflicting open row, ACT for a precharged bank) is legal now. A row
+// hit whose column command is not yet legal waits rather than churns,
+// so a bank's preparation candidate is its oldest miss. It returns the
+// request and the command, or nil.
+//
+// One walk over the active set visits only banks with work, and each
+// bank's memo gives its oldest hit and miss. The winner is the lowest
+// seq and seqs are unique, so the order of visits cannot change it.
+// Demand skips what refresh blocks: a frozen rank, the rank or unit its
+// refresh is quiescing (closingUnit), and, when the granularity locks
+// banks one by one, a locked bank.
+func (c *Controller) issueFrom(ix *bankIndex, now event.Cycle, isWrite, demand bool) (*request, dram.CommandKind) {
 	locks := demand && c.gran.locksBanks()
-	// Pass 1: oldest row hit whose column command is legal now.
-	var hit *request
-	for r := 0; r < c.geo.Ranks; r++ {
-		if ix.rankN[r] == 0 || c.dev.Refreshing(r, now) {
+	var hit, prep *request
+	prepKind := dram.CmdACT
+	for _, s := range ix.active {
+		r, b := ix.rankBank(s)
+		if c.dev.Refreshing(r, now) {
 			continue
 		}
-		skip := c.closingUnit(r, demand)
-		if skip == allUnits {
+		if skip := c.closingUnit(r, demand); skip == allUnits || skip >= 0 && c.unitOf[b] == skip ||
+			locks && c.dev.BankRefreshing(r, b, now) {
 			continue
 		}
-		for b := 0; b < c.geo.Banks; b++ {
-			l := ix.list(r, b)
-			if len(l) == 0 || skip >= 0 && c.unitOf[b] == skip || locks && c.dev.BankRefreshing(r, b, now) {
-				continue
-			}
-			open := c.dev.OpenRow(r, b)
-			if open < 0 {
-				continue
-			}
-			var cand *request
-			for _, req := range l {
-				if int64(req.loc.Row) == open {
-					cand = req
-					break
-				}
-			}
-			if cand == nil || (hit != nil && cand.seq > hit.seq) {
-				continue
-			}
-			if isWrite {
-				if c.dev.EarliestWR(now, r, b) != now {
-					continue
-				}
-			} else if c.dev.EarliestRD(now, r, b) != now {
-				continue
-			}
-			hit = cand
+		open := c.dev.OpenRow(r, b)
+		h, m := ix.classes(s, open)
+		if h != nil && (hit == nil || h.seq < hit.seq) && c.columnReady(now, r, b, isWrite) {
+			hit = h
 		}
-	}
-	if hit != nil {
-		r, b := hit.loc.Rank, hit.loc.Bank
-		if isWrite {
-			c.dev.IssueWR(now, r, b)
-			c.emit(dram.Command{Kind: dram.CmdWR, At: now,
-				Rank: r, Bank: b, Col: hit.loc.Col})
-			c.WritesServed.Inc()
-			c.removeReq(queue, hit)
-			return true
+		if hit != nil || m == nil || prep != nil && m.seq > prep.seq {
+			continue // any legal hit beats any preparation
 		}
-		dataAt := c.dev.IssueRD(now, r, b)
-		c.emit(dram.Command{Kind: dram.CmdRD, At: now,
-			Rank: r, Bank: b, Col: hit.loc.Col})
-		c.completeRead(hit, dataAt)
-		c.removeReq(queue, hit)
-		return true
-	}
-	// Pass 2: oldest request whose bank-preparation command (PRE for a
-	// conflicting open row, ACT for a precharged bank) is legal now. A
-	// row hit whose column command is not yet legal waits rather than
-	// churns, so it never prepares.
-	var prep *request
-	for r := 0; r < c.geo.Ranks; r++ {
-		if ix.rankN[r] == 0 || c.dev.Refreshing(r, now) {
+		if open >= 0 {
+			if c.dev.EarliestPRE(now, r, b) == now {
+				prep, prepKind = m, dram.CmdPRE
+			}
 			continue
 		}
-		skip := c.closingUnit(r, demand)
-		if skip == allUnits {
-			continue
+		if c.dev.EarliestACT(now, r, b) != now {
+			continue // no row of this bank can activate yet
 		}
-		for b := 0; b < c.geo.Banks; b++ {
-			l := ix.list(r, b)
-			if len(l) == 0 || skip >= 0 && c.unitOf[b] == skip || locks && c.dev.BankRefreshing(r, b, now) {
-				continue
+		// Only a subarray refresh lock makes ACT legality row-dependent:
+		// the oldest request whose subarray is free wins.
+		for _, req := range ix.lists[s] {
+			if prep != nil && req.seq > prep.seq {
+				break
 			}
-			open := c.dev.OpenRow(r, b)
-			if open >= 0 {
-				var cand *request
-				for _, req := range l {
-					if int64(req.loc.Row) != open {
-						cand = req
-						break
-					}
-				}
-				if cand == nil || (prep != nil && cand.seq > prep.seq) {
-					continue
-				}
-				if c.dev.EarliestPRE(now, r, b) == now {
-					prep = cand
-				}
-				continue
-			}
-			if c.dev.EarliestACT(now, r, b) != now {
-				continue // no row of this bank can activate yet
-			}
-			for _, req := range l {
-				if prep != nil && req.seq > prep.seq {
-					break
-				}
-				if c.dev.EarliestACTRow(now, r, b, req.loc.Row) == now {
-					prep = req
-					break
-				}
+			if c.dev.EarliestACTRow(now, r, b, req.loc.Row) == now {
+				prep, prepKind = req, dram.CmdACT
+				break
 			}
 		}
 	}
-	if prep != nil {
-		r, b := prep.loc.Rank, prep.loc.Bank
-		if c.dev.OpenRow(r, b) >= 0 {
-			c.dev.IssuePRE(now, r, b)
-			c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: r, Bank: b})
-			return true
-		}
-		c.dev.IssueACT(now, r, b, prep.loc.Row)
-		c.emit(dram.Command{Kind: dram.CmdACT, At: now,
-			Rank: r, Bank: b, Row: prep.loc.Row})
-		return true
+	switch {
+	case hit != nil && isWrite:
+		return hit, dram.CmdWR
+	case hit != nil:
+		return hit, dram.CmdRD
 	}
-	return false
+	return prep, prepKind
 }
 
-// removeReq deletes req from the given queue and its bank index, and
-// wakes any core waiting for queue space.
-func (c *Controller) removeReq(queue *[]*request, req *request) {
-	q := *queue
-	for i, r := range q {
-		if r == req {
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			*queue = q[:len(q)-1]
-			break
-		}
+// columnReady reports whether the bank's column command is legal now.
+func (c *Controller) columnReady(now event.Cycle, r, b int, isWrite bool) bool {
+	if isWrite {
+		return c.dev.EarliestWR(now, r, b) == now
 	}
-	c.indexFor(queue).remove(req)
-	if queue != &c.fillQ {
+	return c.dev.EarliestRD(now, r, b) == now
+}
+
+// issue commits the command issueFrom chose for req from the queue ix. A
+// column command retires req; PRE and ACT leave it queued.
+func (c *Controller) issue(ix *bankIndex, req *request, kind dram.CommandKind, now event.Cycle) {
+	r, b := req.loc.Rank, req.loc.Bank
+	switch kind {
+	case dram.CmdWR:
+		c.dev.IssueWR(now, r, b)
+		c.emit(dram.Command{Kind: dram.CmdWR, At: now, Rank: r, Bank: b, Col: req.loc.Col})
+		c.WritesServed.Inc()
+		c.removeReq(ix, req)
+	case dram.CmdRD:
+		dataAt := c.dev.IssueRD(now, r, b)
+		c.emit(dram.Command{Kind: dram.CmdRD, At: now, Rank: r, Bank: b, Col: req.loc.Col})
+		c.completeRead(req, dataAt)
+		c.removeReq(ix, req)
+	case dram.CmdPRE:
+		c.dev.IssuePRE(now, r, b)
+		c.emit(dram.Command{Kind: dram.CmdPRE, At: now, Rank: r, Bank: b})
+	case dram.CmdACT:
+		c.dev.IssueACT(now, r, b, req.loc.Row)
+		c.emit(dram.Command{Kind: dram.CmdACT, At: now, Rank: r, Bank: b, Row: req.loc.Row})
+	}
+}
+
+// removeReq deletes req from the queue ix and, for demand queues, wakes
+// any core waiting for queue space.
+func (c *Controller) removeReq(ix *bankIndex, req *request) {
+	ix.remove(req)
+	if ix != &c.fillIdx {
 		c.notifySpace()
 	}
 }
@@ -968,7 +918,7 @@ func (c *Controller) closeIdleRows(now event.Cycle) bool {
 	for r := 0; r < c.geo.Ranks; r++ {
 		for b := 0; b < c.geo.Banks; b++ {
 			open := c.dev.OpenRow(r, b)
-			if open < 0 || c.rowWanted(r, b, int(open)) {
+			if open < 0 || c.rowWanted(r, b, open) {
 				continue
 			}
 			if c.dev.EarliestPRE(now, r, b) == now {
@@ -981,21 +931,12 @@ func (c *Controller) closeIdleRows(now event.Cycle) bool {
 	return false
 }
 
-// rowWanted reports whether any queued request targets the open row.
-// The bank indexes narrow the check to the bank's own pending lists.
-func (c *Controller) rowWanted(rank, bank, row int) bool {
-	for _, req := range c.readIdx.list(rank, bank) {
-		if req.loc.Row == row {
-			return true
-		}
-	}
-	for _, req := range c.writeIdx.list(rank, bank) {
-		if req.loc.Row == row {
-			return true
-		}
-	}
-	for _, req := range c.fillIdx.list(rank, bank) {
-		if req.loc.Row == row {
+// rowWanted reports whether any queued request targets the bank's open
+// row open: whether any queue's memo holds a hit for it.
+func (c *Controller) rowWanted(rank, bank int, open int64) bool {
+	s := c.readIdx.slot(rank, bank)
+	for _, ix := range [...]*bankIndex{&c.readIdx, &c.writeIdx, &c.fillIdx} {
+		if hit, _ := ix.classes(s, open); hit != nil {
 			return true
 		}
 	}

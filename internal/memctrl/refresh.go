@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -177,7 +178,7 @@ func (c *Controller) beginRefresh(r int, now event.Cycle) {
 	// (deep read queue), prefetch fills cannot add throughput — every
 	// mispredicted fill is pure bus waste — so the launch is skipped.
 	// The drain optimization still applies.
-	if c.window.rankWide && len(c.readQ) >= c.cfg.ReadQueueCap/4 {
+	if c.window.rankWide && c.readIdx.n >= c.cfg.ReadQueueCap/4 {
 		rr.wantPrefetch = false
 		c.PrefetchThrottled.Inc()
 	}
@@ -761,7 +762,7 @@ func (c *Controller) startFills(rank int, now event.Cycle) {
 	}
 	c.sessionInsertedMark = buf.Inserted.Value()
 	for _, loc := range locs {
-		c.pushRequest(&c.fillQ, &request{loc: loc, arrive: now, prefetch: true})
+		c.pushRequest(&c.fillIdx, &request{loc: loc, arrive: now, prefetch: true})
 	}
 	rr.fillStart = now
 	rr.phase = refFilling
@@ -770,33 +771,27 @@ func (c *Controller) startFills(rank int, now event.Cycle) {
 // dropFills abandons any prefetch fills for the rank that did not make
 // the drain deadline; whatever was inserted into the buffer stays.
 func (c *Controller) dropFills(rank int) {
-	kept := c.fillQ[:0]
-	for _, req := range c.fillQ {
-		if req.loc.Rank != rank {
-			kept = append(kept, req)
-		} else {
-			c.FillsDropped.Inc()
-		}
-	}
-	c.fillQ = kept
-	c.fillIdx.rebuild(c.fillQ)
+	c.FillsDropped.Add(int64(c.fillIdx.clearRank(rank)))
 }
 
 // probeQueuedReads serves queued demand reads to the frozen unit of
-// rank from the SRAM buffer where possible.
+// rank from the SRAM buffer where possible. The probes and serves are
+// observable, so they run oldest first across the unit's banks.
 func (c *Controller) probeQueuedReads(rank, unit int, now event.Cycle) {
-	kept := c.readQ[:0]
-	for _, req := range c.readQ {
-		if req.loc.Rank == rank && c.unitOf[req.loc.Bank] == unit && !req.prefetch &&
-			c.rop.ProbeRead(req.loc, now, true) {
-			c.serveFromSRAM(req.arrive, now, req.done)
-			continue
-		}
-		kept = append(kept, req)
+	var queued []*request
+	for _, b := range c.units[unit] {
+		queued = append(queued, c.readIdx.list(rank, b)...)
 	}
-	if len(kept) != len(c.readQ) {
-		c.readQ = kept
-		c.readIdx.rebuild(c.readQ)
+	slices.SortFunc(queued, func(a, b *request) int { return cmp.Compare(a.seq, b.seq) })
+	served := false
+	for _, req := range queued {
+		if c.rop.ProbeRead(req.loc, now, true) {
+			c.serveFromSRAM(req.arrive, now, req.done)
+			c.readIdx.remove(req)
+			served = true
+		}
+	}
+	if served {
 		c.notifySpace()
 	}
 }

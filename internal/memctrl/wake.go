@@ -206,16 +206,16 @@ func (c *Controller) closingWake(r int, now event.Cycle) event.Cycle {
 // exactly.
 func (c *Controller) nextDrainState(d bool) bool {
 	if d {
-		return len(c.writeQ) > c.cfg.WriteLow
+		return c.writeIdx.n > c.cfg.WriteLow
 	}
-	return len(c.writeQ) >= c.cfg.WriteHigh ||
-		(len(c.readQ) == 0 && len(c.fillQ) == 0 && len(c.writeQ) > 0)
+	return c.writeIdx.n >= c.cfg.WriteHigh ||
+		(c.readIdx.n == 0 && c.fillIdx.n == 0 && c.writeIdx.n > 0)
 }
 
 // scheduleWake reports the earliest cycle scheduleStep could issue a
 // command, given the queues and the write-drain hysteresis state.
 func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
-	if len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.fillQ) == 0 {
+	if c.readIdx.n == 0 && c.writeIdx.n == 0 && c.fillIdx.n == 0 {
 		return cycleNever
 	}
 	// The drain flag updates once per tick. If one update step is not a
@@ -227,7 +227,7 @@ func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
 		return now + 1
 	}
 	t := c.queueWake(&c.readIdx, now, false, true)
-	if len(c.fillQ) > 0 {
+	if c.fillIdx.n > 0 {
 		t = min(t, c.queueWake(&c.fillIdx, now, false, false))
 	}
 	if f1 {
@@ -236,57 +236,41 @@ func (c *Controller) scheduleWake(now event.Cycle) event.Cycle {
 	return t
 }
 
-// queueWake reports the earliest cycle any request in the indexed
-// queue could issue its next command (column access, PRE, or ACT), or
+// queueWake reports the earliest cycle any request in the queue ix
+// could issue its next command (column access, PRE, or ACT), or
 // cycleNever when nothing is pending. demand applies the refresh
 // blocking rules that issueFrom applies to non-prefetch traffic; banks
 // skipped here (a quiescing rank or refresh unit) are re-armed by the
-// tick that advances the refresh phase.
+// tick that advances the refresh phase. It walks only the active set,
+// and one representative per class suffices: all row hits of a bank
+// share the column timing, all misses the PRE timing, and a precharged
+// bank's ACT timing is row-independent except under subarray refresh
+// locks.
 func (c *Controller) queueWake(ix *bankIndex, now event.Cycle, isWrite, demand bool) event.Cycle {
 	t := cycleNever
 	base := now + 1
 	perRow := c.gran.subarrays()
-	for r := 0; r < c.geo.Ranks; r++ {
-		if ix.rankN[r] == 0 {
+	for _, s := range ix.active {
+		r, b := ix.rankBank(s)
+		if skip := c.closingUnit(r, demand); skip == allUnits || skip >= 0 && c.unitOf[b] == skip {
 			continue
 		}
-		skip := c.closingUnit(r, demand)
-		if skip == allUnits {
-			continue
+		open := c.dev.OpenRow(r, b)
+		if open < 0 && perRow {
+			for _, req := range ix.lists[s] {
+				t = min(t, c.dev.EarliestACTRow(base, r, b, req.loc.Row))
+			}
+		} else {
+			hit, miss := ix.classes(s, open)
+			if hit != nil {
+				t = min(t, c.dev.NextReadyCycle(base, r, b, hit.loc.Row, isWrite))
+			}
+			if miss != nil {
+				t = min(t, c.dev.NextReadyCycle(base, r, b, miss.loc.Row, isWrite))
+			}
 		}
-		for b := 0; b < c.geo.Banks; b++ {
-			l := ix.list(r, b)
-			if len(l) == 0 || skip >= 0 && c.unitOf[b] == skip {
-				continue
-			}
-			if open := c.dev.OpenRow(r, b); open >= 0 {
-				// One representative per class suffices: all row hits
-				// share the column timing, all misses the PRE timing.
-				seenHit, seenMiss := false, false
-				for _, req := range l {
-					hit := int64(req.loc.Row) == open
-					if (hit && !seenHit) || (!hit && !seenMiss) {
-						t = min(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
-					}
-					seenHit = seenHit || hit
-					seenMiss = seenMiss || !hit
-					if seenHit && seenMiss {
-						break
-					}
-				}
-			} else {
-				// Closed bank: ACT legality is row-independent except for
-				// per-subarray refresh locks.
-				for _, req := range l {
-					t = min(t, c.dev.NextReadyCycle(base, r, b, req.loc.Row, isWrite))
-					if !perRow {
-						break
-					}
-				}
-			}
-			if t == base {
-				return t
-			}
+		if t == base {
+			return t
 		}
 	}
 	return t
@@ -300,7 +284,7 @@ func (c *Controller) closePageWake(now event.Cycle) event.Cycle {
 	for r := 0; r < c.geo.Ranks; r++ {
 		for b := 0; b < c.geo.Banks; b++ {
 			open := c.dev.OpenRow(r, b)
-			if open < 0 || c.rowWanted(r, b, int(open)) {
+			if open < 0 || c.rowWanted(r, b, open) {
 				continue
 			}
 			t = min(t, c.dev.EarliestPRE(now+1, r, b))
