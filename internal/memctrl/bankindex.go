@@ -7,20 +7,24 @@ import "ropsim/internal/addr"
 // (seq) order. It is the queue's only store: the scheduler visits only
 // the slots that hold work (the active set), finds a bank's oldest row
 // hit and oldest row miss in one step (the memo), and the refresh
-// machine's queue-emptiness probes (hasDemandReads and friends) are
-// O(1) counter reads. Every enqueue goes through add and every dequeue
-// through remove or clearRank, so the lists, counts, active set and
-// memos cannot drift apart.
+// machine's queue-emptiness probes (hasDemandReads, hasFills and the
+// per-unit unitHas) are O(1) counter reads. Every enqueue goes through
+// add and every dequeue through remove or clearRank, so the lists,
+// counts, active set and memos cannot drift apart.
 //
-// A slot is one (rank, bank) pair, numbered rank*banks+bank. Its list
-// is kept apart from its bookkeeping (bankSlot) so the refresh
-// machine's per-bank emptiness probes (unitHas) touch only list
-// headers.
+// A slot is one (rank, bank) pair, numbered rank*banks+bank; its list
+// is kept apart from its bookkeeping (bankSlot). A unit count covers one
+// (rank, refresh unit) pair, numbered rank*units+unit under the
+// controller's bank → unit mapping, so a refresh unit's emptiness probe
+// (unitHas) reads one counter instead of its banks' list headers.
 type bankIndex struct {
 	banks  int          // banks per rank (slot stride)
+	units  int          // refresh units per rank (unitN stride)
+	unitOf []int        // bank → refresh unit (shared with the controller)
 	lists  [][]*request // slot → pending requests, oldest first
 	slots  []bankSlot   // slot → bookkeeping
 	rankN  []int        // pending requests per rank
+	unitN  []int        // pending requests per (rank, refresh unit)
 	n      int          // pending requests in all
 	active []int        // slots whose list is non-empty, in no particular order
 }
@@ -45,10 +49,12 @@ type bankMemo struct {
 	valid     bool
 }
 
-// init sizes the index for the channel geometry.
-func (ix *bankIndex) init(geo addr.Geometry) {
+// init sizes the index for the channel geometry and the refresh
+// granularity's units: unitOf maps each bank to one of units units.
+func (ix *bankIndex) init(geo addr.Geometry, unitOf []int, units int) {
 	n := geo.Ranks * geo.Banks
 	ix.banks = geo.Banks
+	ix.units, ix.unitOf = units, unitOf
 	ix.lists = make([][]*request, n)
 	ix.slots = make([]bankSlot, n)
 	for r := 0; r < geo.Ranks; r++ {
@@ -58,11 +64,19 @@ func (ix *bankIndex) init(geo addr.Geometry) {
 		}
 	}
 	ix.rankN = make([]int, geo.Ranks)
+	ix.unitN = make([]int, geo.Ranks*units)
 	ix.active = make([]int, 0, n)
 }
 
 // slot maps a (rank, bank) pair to its list index.
 func (ix *bankIndex) slot(rank, bank int) int { return rank*ix.banks + bank }
+
+// unit maps a (rank, bank) pair to its unit count's index.
+func (ix *bankIndex) unit(rank, bank int) int { return rank*ix.units + ix.unitOf[bank] }
+
+// unitHas reports whether the queue holds a request for a bank of rank
+// r's refresh unit u.
+func (ix *bankIndex) unitHas(r, u int) bool { return ix.unitN[r*ix.units+u] > 0 }
 
 // rankBank maps slot s back to its (rank, bank) pair.
 func (ix *bankIndex) rankBank(s int) (rank, bank int) {
@@ -79,6 +93,7 @@ func (ix *bankIndex) add(req *request) {
 	}
 	ix.lists[s] = append(ix.lists[s], req)
 	ix.rankN[req.loc.Rank]++
+	ix.unitN[ix.unit(req.loc.Rank, req.loc.Bank)]++
 	ix.n++
 	if m := &ix.slots[s].memo; m.valid {
 		// The newest request is the oldest of its class only when the
@@ -105,6 +120,7 @@ func (ix *bankIndex) remove(req *request) {
 		l[len(l)-1] = nil
 		ix.lists[s] = l[:len(l)-1]
 		ix.rankN[req.loc.Rank]--
+		ix.unitN[ix.unit(req.loc.Rank, req.loc.Bank)]--
 		ix.n--
 		if m := &ix.slots[s].memo; req == m.hit || req == m.miss {
 			m.valid = false
@@ -131,6 +147,7 @@ func (ix *bankIndex) clearRank(rank int) int {
 		ix.deactivate(s)
 	}
 	ix.rankN[rank] = 0
+	clear(ix.unitN[rank*ix.units : (rank+1)*ix.units])
 	ix.n -= dropped
 	return dropped
 }

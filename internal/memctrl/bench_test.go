@@ -112,3 +112,38 @@ func BenchmarkScheduleSparseDDR5(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOutOfOrderRefreshBusy measures the out-of-order refresh
+// ordering under load: DARP on 4 ranks of DDR4-1600, with a read every
+// 8 cycles spread over two banks per rank (mostly row hits), so those
+// banks' refreshes are postponed while the other six per rank are
+// pulled in. Each iteration simulates one tREFI.
+func BenchmarkOutOfOrderRefreshBusy(b *testing.B) {
+	q := &event.Queue{}
+	dev := dram.NewDevice(dram.DDR4_1600(dram.Refresh1x), addr.Geometry{
+		Channels: 1, Ranks: 4, Banks: 8, Rows: 512, ColumnLines: 64,
+	})
+	c := MustNew(DefaultConfig(ModeDARP), dev, q)
+	refi := dev.Params().REFI
+	busy := [...]addr.Loc{
+		{Rank: 0, Bank: 1}, {Rank: 1, Bank: 2}, {Rank: 2, Bank: 5}, {Rank: 3, Bank: 6},
+		{Rank: 0, Bank: 4}, {Rank: 1, Bank: 7}, {Rank: 2, Bank: 0}, {Rank: 3, Bank: 3},
+	}
+	n := 0
+	done := func(event.Cycle) {}
+	var drive func(now event.Cycle)
+	drive = func(now event.Cycle) {
+		loc := busy[n%len(busy)]
+		loc.Row, loc.Col = n/256%4, n%64
+		c.EnqueueRead(loc, 0, done) // a full queue rejects it: the banks stay busy either way
+		n++
+		q.Schedule(now+8, drive)
+	}
+	q.Schedule(0, drive)
+	q.RunUntil(refi) // past the first refreshes, into steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.RunUntil(q.Now() + refi)
+	}
+}

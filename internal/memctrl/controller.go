@@ -245,6 +245,9 @@ type Controller struct {
 	dev *dram.Device
 	q   *event.Queue
 	geo addr.Geometry
+	// p is the device's timing, read once: Device.Params returns the
+	// whole struct by value, too large to copy on every tick.
+	p dram.Params
 
 	// readIdx, writeIdx and fillIdx are the demand read, write and ROP
 	// prefetch fill queues, each stored per (rank, bank) (see
@@ -376,6 +379,7 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 		dev:             dev,
 		q:               q,
 		geo:             geo,
+		p:               p,
 		gran:            pre.gran,
 		units:           pre.gran.units(dev),
 		unitOf:          make([]int, geo.Banks),
@@ -383,13 +387,13 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) (*Controller, error) {
 		ReadLatencyHist: stats.NewHistogram(readLatencyBounds...),
 	}
 	c.tickFn = c.tick
-	c.readIdx.init(geo)
-	c.writeIdx.init(geo)
-	c.fillIdx.init(geo)
 	for u, banks := range c.units {
 		for _, b := range banks {
 			c.unitOf[b] = u
 		}
+	}
+	for _, ix := range [...]*bankIndex{&c.readIdx, &c.writeIdx, &c.fillIdx} {
+		ix.init(geo, c.unitOf, len(c.units))
 	}
 	if pre.order != nil && p.REFI > 0 {
 		if err := c.gran.check(p); err != nil {

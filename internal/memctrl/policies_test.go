@@ -29,20 +29,9 @@ func armChecker(c *Controller, checker *dram.Checker) *error {
 // test: under saturating demand on one rank (postponing refreshes) and
 // total idleness on the other (pulling them in), the out-of-order
 // scheduler must never hold more than maxElasticBacklog owed refreshes
-// or bank more than maxPullInAhead of pull-in credit, and its command
-// stream must stay checker-clean.
+// or bank more than maxPullInAhead of pull-in credit, read right after
+// every refresh issue, and its command stream must stay checker-clean.
 func TestOoOPullInPostponeWindow(t *testing.T) {
-	maxOwed, maxAhead := 0, 0
-	SetDebugOoO(func(now int64, owed, ahead int) {
-		if owed > maxOwed {
-			maxOwed = owed
-		}
-		if ahead > maxAhead {
-			maxAhead = ahead
-		}
-	})
-	defer SetDebugOoO(nil)
-
 	c, q := newController(t, ModeOutOfOrderBank, nil)
 	p := c.Device().Params()
 	checkErr := armChecker(c, dram.NewChecker(p, testGeo()))
@@ -61,7 +50,22 @@ func TestOoOPullInPostponeWindow(t *testing.T) {
 		}
 	}
 	q.Schedule(0, drive)
-	q.RunUntil(30 * p.REFI) // idle tail past the traffic horizon
+
+	// Step to an idle tail past the traffic horizon, reading every
+	// rank's owed and pulled-ahead counts whenever a refresh issued.
+	maxOwed, maxAhead := 0, 0
+	issued := c.RefreshesIssued.Value()
+	for at, ok := q.PeekTime(); ok && at <= 30*p.REFI; at, ok = q.PeekTime() {
+		q.Step()
+		if c.RefreshesIssued.Value() == issued {
+			continue
+		}
+		issued = c.RefreshesIssued.Value()
+		for r := range c.refresh {
+			owed, ahead := oooBacklog(c, r, q.Now())
+			maxOwed, maxAhead = max(maxOwed, owed), max(maxAhead, ahead)
+		}
+	}
 
 	if *checkErr != nil {
 		t.Fatalf("protocol violation: %v", *checkErr)

@@ -22,11 +22,6 @@ import (
 //     target's reads and stages predicted lines in the SRAM buffer.
 // Each part's "act now" lives here; its "next wake" lives in wake.go.
 
-// debugOoO is a test hook observing out-of-order refresh accounting at
-// each issue: the rank's owed (postponed) and pulled-ahead refresh
-// counts right after the issue.
-var debugOoO func(now event.Cycle, owed, ahead int)
-
 // refPhase is the per-rank refresh state.
 type refPhase int
 
@@ -98,6 +93,12 @@ type rankRefresh struct {
 	// pullIn marks the pending issue as a pull-in (out-of-order: the
 	// picked unit's schedule is still in the future).
 	pullIn bool
+	// owed and ahead (out-of-order) cache oooBacklog's tally of unitDue.
+	// It holds for every cycle before tallyNext, the earliest unit
+	// boundary after the cycle it was counted at; tallyNext 0 means
+	// unitDue moved since.
+	owed, ahead int
+	tallyNext   event.Cycle
 
 	drainDeadline event.Cycle // ROP: drain must finish by here
 	deadline      event.Cycle // ROP: fills must finish by here
@@ -117,7 +118,7 @@ func (c *Controller) refreshStep(now event.Cycle) bool {
 			case refIdle:
 				progress = c.order.start(c, r, now)
 			case refDraining:
-				if now >= rr.drainDeadline || !c.unitHas(&c.readIdx, r, rr.target) {
+				if now >= rr.drainDeadline || !c.readIdx.unitHas(r, rr.target) {
 					c.startFills(r, now)
 					progress = true
 				}
@@ -226,21 +227,6 @@ func (c *Controller) conflictingBank(r int, rr *rankRefresh) int {
 		}
 	}
 	return -1
-}
-
-// unitHas reports whether the indexed queue holds a request for a bank
-// of rank r's refresh unit u.
-func (c *Controller) unitHas(ix *bankIndex, r, u int) bool {
-	banks := c.units[u]
-	if len(banks) == c.geo.Banks {
-		return ix.rankN[r] > 0
-	}
-	for _, b := range banks {
-		if len(ix.list(r, b)) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // hasDemandReads reports whether any queued demand read targets rank
@@ -428,7 +414,7 @@ func (c *Controller) issueREF(now event.Cycle, r int, rr *rankRefresh) event.Cyc
 // the refreshed unit's own counter moves to its next subarray.
 func (c *Controller) advance(rr *rankRefresh) {
 	if rr.unitSA != nil {
-		sa := (rr.unitSA[rr.target] + 1) % c.dev.Params().Subarrays
+		sa := (rr.unitSA[rr.target] + 1) % c.p.Subarrays
 		rr.unitSA[rr.target] = sa
 		if c.gran == granBankSubarray && sa != 0 {
 			return
@@ -529,7 +515,7 @@ func (pausing) String() string { return "pausing" }
 
 func (pausing) refresh(c *Controller, r int, now event.Cycle) event.Cycle {
 	rr := &c.refresh[r]
-	rfc := c.dev.Params().RFC
+	rfc := c.p.RFC
 	dur := rfc / pauseSegments
 	if rr.segDone > 0 {
 		dur += pauseResumeOverhead
@@ -565,7 +551,7 @@ func (c *Controller) mustPause(r int, now event.Cycle) bool {
 // before the in-flight refresh's successor is due.
 func (c *Controller) pauseForcedAt(r int) event.Cycle {
 	rr := &c.refresh[r]
-	segLen := c.dev.Params().RFC / pauseSegments
+	segLen := c.p.RFC / pauseSegments
 	remaining := event.Cycle(pauseSegments-rr.segDone) * (segLen + pauseResumeOverhead + 20)
 	return rr.due + c.cadence - remaining
 }
@@ -609,23 +595,28 @@ func (o outOfOrder) start(c *Controller, r int, now event.Cycle) bool {
 }
 
 // pick chooses which unit (if any) rank r should refresh at now. It
-// returns the unit and whether the issue is a pull-in, or -1.
+// returns the unit and whether the issue is a pull-in, or -1. Every
+// candidate test only rules a unit out, so their order does not change
+// the pick; the queue probe (idle) goes last.
 func (o outOfOrder) pick(c *Controller, r int, now event.Cycle) (unit int, pullIn bool) {
 	due := c.refresh[r].unitDue
 	owed, ahead := oooBacklog(c, r, now)
+	if owed == 0 && ahead >= maxPullInAhead {
+		return -1, false // nothing owed, and no credit for a pull-in
+	}
+	forced := owed >= maxElasticBacklog
+	owedOnly := forced || ahead >= maxPullInAhead
 	best := -1
 	for u, d := range due {
 		switch {
-		case owed >= maxElasticBacklog && d > now:
-			continue // forced: only owed units compete, idle or not
-		case owed < maxElasticBacklog && !o.idle(c, r, u):
+		case d > now && owedOnly:
+			continue // forced (only owed units compete, idle or not), or pull-in credit exhausted
+		case best >= 0 && d >= due[best]:
+			continue // cannot beat the best so far (a tie keeps the earlier unit)
+		case !forced && !o.idle(c, r, u):
 			continue
-		case d > now && ahead >= maxPullInAhead:
-			continue // pull-in credit exhausted
 		}
-		if best < 0 || d < due[best] {
-			best = u
-		}
+		best = u
 	}
 	if best < 0 {
 		return -1, false
@@ -638,25 +629,45 @@ func (o outOfOrder) pick(c *Controller, r int, now event.Cycle) (unit int, pullI
 // when drain-aware.
 func (o outOfOrder) idle(c *Controller, r, u int) bool {
 	if o.drainAware && c.draining {
-		return !c.unitHas(&c.writeIdx, r, u)
+		return !c.writeIdx.unitHas(r, u)
 	}
-	return !c.unitHas(&c.readIdx, r, u)
+	return !c.readIdx.unitHas(r, u)
 }
 
-// oooBacklog tallies rank r's out-of-order refresh position at now:
+// oooBacklog reports rank r's out-of-order refresh position at now:
 // owed counts refreshes whose unit boundary has passed without an
 // issue, ahead counts refreshes issued before their boundary (pull-ins
-// still in credit).
+// still in credit). It reads the rank's cached tally, recounting only
+// once now reaches the next boundary or after an issue; now must not
+// go backwards between calls.
 func oooBacklog(c *Controller, r int, now event.Cycle) (owed, ahead int) {
-	refi := c.dev.Params().REFI
-	for _, d := range c.refresh[r].unitDue {
-		if d <= now {
-			owed += int((now-d)/refi) + 1
-		} else {
-			ahead += int((d - now - 1) / refi)
-		}
+	rr := &c.refresh[r]
+	if now >= rr.tallyNext {
+		rr.tally(c.p.REFI, now)
 	}
-	return owed, ahead
+	return rr.owed, rr.ahead
+}
+
+// tally counts rr's owed and ahead refreshes at now and the earliest
+// boundary after now at which either count changes: for each unit, the
+// first cycle its owed count grows by one, or its ahead count drops by
+// one (its due boundary when only one tREFI ahead), which is the first
+// cycle after now congruent to the unit's unitDue modulo refi.
+func (rr *rankRefresh) tally(refi, now event.Cycle) {
+	rr.owed, rr.ahead, rr.tallyNext = 0, 0, cycleNever
+	for _, d := range rr.unitDue {
+		var b event.Cycle
+		if d <= now {
+			k := (now - d) / refi
+			rr.owed += int(k) + 1
+			b = d + (k+1)*refi
+		} else {
+			k := (d - now - 1) / refi
+			rr.ahead += int(k)
+			b = d - k*refi
+		}
+		rr.tallyNext = min(rr.tallyNext, b)
+	}
 }
 
 func (o outOfOrder) refresh(c *Controller, r int, now event.Cycle) event.Cycle {
@@ -672,27 +683,11 @@ func (o outOfOrder) refresh(c *Controller, r int, now event.Cycle) event.Cycle {
 	if o.drainAware && c.draining {
 		c.DrainPiggybacks.Inc()
 	}
-	rr.unitDue[rr.target] += c.dev.Params().REFI
+	rr.unitDue[rr.target] += c.p.REFI
 	rr.pullIn = false
 	rr.due = slices.Min(rr.unitDue)
-	if debugOoO != nil {
-		owed, ahead := oooBacklog(c, r, now)
-		debugOoO(now, owed, ahead)
-	}
+	rr.tallyNext = 0 // the counts moved: recount at the next pick
 	return end
-}
-
-// SetDebugOoO installs the out-of-order refresh test hook
-// (diagnostics): it observes the rank's owed and pulled-ahead refresh
-// counts right after each out-of-order issue.
-func SetDebugOoO(fn func(now int64, owed, ahead int)) {
-	if fn == nil {
-		debugOoO = nil
-		return
-	}
-	debugOoO = func(now event.Cycle, owed, ahead int) {
-		fn(int64(now), owed, ahead)
-	}
 }
 
 // prefetchWindow is the ROP prefetch part's timing for one refresh: the

@@ -166,13 +166,14 @@ func (c *Controller) oracleQueueWake(ix *bankIndex, now event.Cycle, isWrite, de
 	return t
 }
 
-// checkIndex verifies that ix's counts, active set and memos agree with
-// its lists.
+// checkIndex verifies that ix's counts (in all, per rank and per
+// refresh unit), active set and memos agree with its lists.
 func checkIndex(ix *bankIndex, ranks int) error {
 	n := 0
 	active := 0
 	for r := 0; r < ranks; r++ {
 		rn := 0
+		un := make([]int, ix.units)
 		for b := 0; b < ix.banks; b++ {
 			s := ix.slot(r, b)
 			sl, l := &ix.slots[s], ix.lists[s]
@@ -185,6 +186,7 @@ func checkIndex(ix *bankIndex, ranks int) error {
 				}
 			}
 			rn += len(l)
+			un[ix.unitOf[b]] += len(l)
 			if len(l) > 0 {
 				active++
 				if sl.pos < 0 || int(sl.pos) >= len(ix.active) || ix.active[sl.pos] != s {
@@ -209,6 +211,11 @@ func checkIndex(ix *bankIndex, ranks int) error {
 		}
 		if rn != ix.rankN[r] {
 			return fmt.Errorf("rank %d: rankN %d, lists hold %d", r, ix.rankN[r], rn)
+		}
+		for u, want := range un {
+			if got := ix.unitN[r*ix.units+u]; got != want || ix.unitHas(r, u) != (want > 0) {
+				return fmt.Errorf("rank %d unit %d: unitN %d, lists hold %d", r, u, got, want)
+			}
 		}
 		n += rn
 	}
@@ -441,35 +448,48 @@ func TestScheduleMatchesOracle(t *testing.T) {
 }
 
 // TestBankIndexConsistent applies random add, remove and clearRank
-// sequences to one index and checks its counts, active set and memos
-// against its lists after every operation.
+// sequences to one index and checks its counts, per-unit counts, active
+// set and memos against its lists after every operation. The refresh
+// unit mappings cover one bank per unit (DDR4 per-bank refresh),
+// several banks per unit (DDR5 same-bank refresh slots) and the whole
+// rank as one unit.
 func TestBankIndexConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	geo := addr.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 512, ColumnLines: 64}
-	var ix bankIndex
-	ix.init(geo)
-	var seq int64
-	for i := 0; i < 20000; i++ {
-		switch k := rng.Intn(10); {
-		case k < 5:
-			seq++
-			ix.add(&request{seq: seq, loc: addr.Loc{
-				Rank: rng.Intn(geo.Ranks), Bank: rng.Intn(geo.Banks), Row: rng.Intn(4)}})
-		case k < 8:
-			if len(ix.active) > 0 {
-				l := ix.lists[ix.active[rng.Intn(len(ix.active))]]
-				ix.remove(l[rng.Intn(len(l))])
+	for _, tc := range []struct {
+		oc   oracleCase
+		mode Mode
+	}{
+		{oracleCase{"DDR4-1600", 8}, ModeBankRefresh},
+		{oracleCase{"DDR5-4800", 32}, ModeBankRefresh},
+		{oracleCase{"DDR4-1600", 8}, ModeBaseline},
+	} {
+		c := newOracleController(t, tc.oc, 4, tc.mode)
+		geo := c.geo
+		var ix bankIndex
+		ix.init(geo, c.unitOf, len(c.units))
+		var seq int64
+		for i := 0; i < 20000; i++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				seq++
+				ix.add(&request{seq: seq, loc: addr.Loc{
+					Rank: rng.Intn(geo.Ranks), Bank: rng.Intn(geo.Banks), Row: rng.Intn(4)}})
+			case k < 8:
+				if len(ix.active) > 0 {
+					l := ix.lists[ix.active[rng.Intn(len(ix.active))]]
+					ix.remove(l[rng.Intn(len(l))])
+				}
+			case k < 9:
+				s := rng.Intn(len(ix.lists))
+				ix.classes(s, int64(rng.Intn(5))-1)
+			default:
+				if rng.Intn(20) == 0 {
+					ix.clearRank(rng.Intn(geo.Ranks))
+				}
 			}
-		case k < 9:
-			s := rng.Intn(len(ix.lists))
-			ix.classes(s, int64(rng.Intn(5))-1)
-		default:
-			if rng.Intn(20) == 0 {
-				ix.clearRank(rng.Intn(geo.Ranks))
+			if err := checkIndex(&ix, geo.Ranks); err != nil {
+				t.Fatalf("%s/%d banks/%v op %d: %v", tc.oc.standard, tc.oc.banks, tc.mode, i, err)
 			}
-		}
-		if err := checkIndex(&ix, geo.Ranks); err != nil {
-			t.Fatalf("op %d: %v", i, err)
 		}
 	}
 }

@@ -113,7 +113,7 @@ func (c *Controller) refreshWake(r int, now event.Cycle) event.Cycle {
 	case refIdle:
 		return c.order.startWake(c, r, now)
 	case refDraining:
-		if !c.unitHas(&c.readIdx, r, rr.target) {
+		if !c.readIdx.unitHas(r, rr.target) {
 			return now + 1
 		}
 		return rr.drainDeadline
@@ -165,27 +165,14 @@ func (elastic) startWake(c *Controller, r int, now event.Cycle) event.Cycle {
 // earliest upcoming unit-schedule boundary — the first cycle a refresh
 // becomes owed (possibly forcing an issue) or a pull-in credit decays
 // (freeing room for another pull-in), either of which can change the
-// pick. Queue changes that unblock a pick between boundaries arm
-// immediate ticks of their own.
+// pick. The pick's backlog tally caches that boundary (see
+// rankRefresh.tally). Queue changes that unblock a pick between
+// boundaries arm immediate ticks of their own.
 func (o outOfOrder) startWake(c *Controller, r int, now event.Cycle) event.Cycle {
 	if u, _ := o.pick(c, r, now); u >= 0 {
 		return now + 1
 	}
-	refi := c.dev.Params().REFI
-	t := cycleNever
-	for _, d := range c.refresh[r].unitDue {
-		var b event.Cycle
-		if d > now {
-			// Next cycle this unit's ahead-count drops by one (its due
-			// boundary when only one tREFI ahead).
-			b = d - ((d-now-1)/refi)*refi
-		} else {
-			// Already owed: next cycle its owed-count grows by one.
-			b = d + ((now-d)/refi+1)*refi
-		}
-		t = min(t, b)
-	}
-	return t
+	return c.refresh[r].tallyNext
 }
 
 // closingWake reports when the closing walk (closeStep) can issue its
